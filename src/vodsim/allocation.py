@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,8 +25,7 @@ class AllocationMap:
     """Which box holds which stripe replica.
 
     placement[v, j, r] is the box holding replica r of stripe j of video v;
-    replica order is the order consumed by forward scans. holdings is the
-    inverse view (a box may hold several replicas of the same stripe).
+    replica order is the order consumed by forward scans.
     """
 
     mode: str
@@ -35,7 +34,6 @@ class AllocationMap:
     s: int
     k: int
     placement: np.ndarray  # int32, shape (m, s, k)
-    holdings: list[list[StripeId]] = field(repr=False)
 
     def replicas_of(self, stripe: StripeId) -> list[int]:
         """The k holders of a stripe, in replica-index order."""
@@ -48,7 +46,10 @@ class AllocationMap:
         return self.placement[video, stripe]
 
     def holdings_of(self, box: int) -> list[StripeId]:
-        return self.holdings[box]
+        """The stripes a box stores, one entry per replica (a box may hold
+        several replicas of the same stripe), by video, stripe, replica."""
+        vs, js, _ = np.nonzero(self.placement == box)
+        return [StripeId(v, j) for v, j in zip(vs.tolist(), js.tolist())]
 
     def dump(self) -> str:
         """Text table, one 'video,stripe,replica,box' line per replica."""
@@ -80,13 +81,7 @@ def load_allocation(text: str, mode: str = "regular") -> AllocationMap:
 
 def _finish(mode: str, n: int, m: int, s: int, k: int,
             placement: np.ndarray) -> AllocationMap:
-    holdings: list[list[StripeId]] = [[] for _ in range(n)]
-    for v in range(m):
-        for j in range(s):
-            for b in placement[v, j]:
-                holdings[int(b)].append(StripeId(v, j))
-    return AllocationMap(mode=mode, n=n, m=m, s=s, k=k,
-                         placement=placement, holdings=holdings)
+    return AllocationMap(mode=mode, n=n, m=m, s=s, k=k, placement=placement)
 
 
 def _slot_owners(cfg: SystemConfig) -> np.ndarray:

@@ -1,9 +1,15 @@
 """Centralized tracker: bipartite request/holder network, max-flow scheduling
-and the exhaustive expander (Hall condition) verifier for desk-scale nets."""
+and the exhaustive expander (Hall condition) verifier for desk-scale nets.
+
+build_request_graph makes one pass over the active boxes' sessions and idle
+caches to fill a per-solve cache table (per video, each box's best cache
+position) and reuses a session's cache holders for all its stripes.
+max_flow runs Dinic's algorithm on the implicit residual graph of the
+unit-demand network: the flow is each request's assigned box and each box's
+load, and the residual arcs follow from those, so no edge list is built."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +28,7 @@ class Unschedulable(Exception):
 @dataclass
 class FlowNetwork:
     """Source -> requests (cap 1) -> holder boxes (cap 1 arcs) -> sink
-    (cap u_i*s). holder_arcs[r] lists indices into box_ids."""
+    (cap u_i*s). holder_arcs[r] lists distinct indices into box_ids."""
 
     requests: list[Optional[StripeId]]
     requesters: list[int]  # box issuing each request, -1 for synthetic nets
@@ -60,144 +66,175 @@ class Infeasible:
 
 
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
-    """Exact integral max flow via Dinic's algorithm."""
+    """Exact integral max flow via Dinic's algorithm on the implicit residual
+    graph.
+
+    Every request carries one unit, so the flow is held as assigned[r] (the
+    box index serving request r, or -1) and load[b]. Residual arcs:
+    source->r is open iff r is unassigned, r->b iff assigned[r] != b,
+    b->r iff assigned[r] == b, and b->sink iff load[b] < box_caps[b].
+    Arcs are visited in the order of the explicit network (requests in index
+    order out of the source, a request's arcs in holder_arcs order, a box's
+    reverse arcs by ascending request before its sink arc), which fixes the
+    decoded assignment. A box's open reverse arcs lead to the requests it
+    serves; each levelling lists those per box, ascending. A request that a
+    box takes on later in the phase sits a level below it, so the list
+    misses no arc the phase can use."""
     R, B = net.num_requests, len(net.box_ids)
-    nn = R + B + 2
-    src, snk = 0, nn - 1
+    arcs = net.holder_arcs
+    caps = net.box_caps
+    assigned = [-1] * R
+    load = [0] * B
 
-    # edge lists: to[], cap[], paired reverse edges at i^1
-    to: list[int] = []
-    cap: list[int] = []
-    head: list[list[int]] = [[] for _ in range(nn)]
+    lev_r: list[int] = []
+    lev_b: list[int] = []
+    served: list[list[int]] = []  # per box, the requests it serves, ascending
+    it_r: list[int] = []
+    it_b: list[int] = []
 
-    def add_edge(u, v, c):
-        head[u].append(len(to))
-        to.append(v)
-        cap.append(c)
-        head[v].append(len(to))
-        to.append(u)
-        cap.append(0)
+    def bfs() -> int:
+        """Level the residual graph from the source; returns the sink's
+        level, or -1 when the sink is unreachable (the levels then mark
+        every node reachable from the source)."""
+        nonlocal lev_r, lev_b, served
+        lev_r = [-1] * R
+        lev_b = [-1] * B
+        served = [[] for _ in range(B)]
+        for r, b in enumerate(assigned):
+            if b >= 0:
+                served[b].append(r)
+        frontier = [r for r in range(R) if assigned[r] < 0]
+        for r in frontier:
+            lev_r[r] = 1
+        d = 1
+        while frontier:
+            boxes = []
+            for r in frontier:
+                a = assigned[r]
+                for b in arcs[r]:
+                    if lev_b[b] < 0 and b != a:
+                        lev_b[b] = d + 1
+                        boxes.append(b)
+            # Nodes past the sink's level cannot lead to it, so stop here.
+            for b in boxes:
+                if load[b] < caps[b]:
+                    return d + 2
+            frontier = []
+            for b in boxes:
+                for r in served[b]:
+                    if lev_r[r] < 0:
+                        lev_r[r] = d + 2
+                        frontier.append(r)
+            d += 2
+        return -1
 
-    req_edge = []
-    for r in range(R):
-        req_edge.append(len(to))
-        add_edge(src, 1 + r, 1)
-    holder_edge: list[list[int]] = []
-    for r in range(R):
-        ids = []
-        for bi in net.holder_arcs[r]:
-            ids.append(len(to))
-            add_edge(1 + r, 1 + R + bi, 1)
-        holder_edge.append(ids)
-    for bi in range(B):
-        add_edge(1 + R + bi, snk, net.box_caps[bi])
+    def dfs_request(r: int) -> bool:
+        nxt = lev_r[r] + 1
+        a = arcs[r]
+        i = it_r[r]
+        while i < len(a):
+            b = a[i]
+            if assigned[r] != b and lev_b[b] == nxt and dfs_box(b):
+                assigned[r] = b
+                it_r[r] = i
+                return True
+            i += 1
+        it_r[r] = i
+        return False
 
-    level = [0] * nn
-    it = [0] * nn
-
-    def bfs() -> bool:
-        for i in range(nn):
-            level[i] = -1
-        dq = deque([src])
-        level[src] = 0
-        while dq:
-            u = dq.popleft()
-            for eid in head[u]:
-                if cap[eid] > 0 and level[to[eid]] < 0:
-                    level[to[eid]] = level[u] + 1
-                    dq.append(to[eid])
-        return level[snk] >= 0
-
-    def dfs(u: int, f: int) -> int:
-        if u == snk:
-            return f
-        while it[u] < len(head[u]):
-            eid = head[u][it[u]]
-            v = to[eid]
-            if cap[eid] > 0 and level[v] == level[u] + 1:
-                got = dfs(v, min(f, cap[eid]))
-                if got > 0:
-                    cap[eid] -= got
-                    cap[eid ^ 1] += got
-                    return got
-            it[u] += 1
-        return 0
+    def dfs_box(b: int) -> bool:
+        nxt = lev_b[b] + 1
+        rv = served[b]
+        i = it_b[b]
+        while i < len(rv):
+            r = rv[i]
+            if assigned[r] == b and lev_r[r] == nxt and dfs_request(r):
+                it_b[b] = i
+                return True
+            i += 1
+        if i == len(rv):  # the sink arc comes last
+            if load[b] < caps[b] and sink_level == nxt:
+                load[b] += 1
+                it_b[b] = i
+                return True
+            i += 1
+        it_b[b] = i
+        return False
 
     value = 0
-    while bfs():
-        it = [0] * nn
-        while True:
-            f = dfs(src, 1 << 60)
-            if f == 0:
-                break
-            value += f
+    while (sink_level := bfs()) >= 0:
+        it_r = [0] * R
+        it_b = [0] * B
+        r = 0
+        while r < R:  # a found path leaves the source's arc pointer in place
+            if assigned[r] < 0 and lev_r[r] == 1 and dfs_request(r):
+                value += 1
+            else:
+                r += 1
 
-    request_to_box = [-1] * R
-    for r in range(R):
-        for j, bi in enumerate(net.holder_arcs[r]):
-            if cap[holder_edge[r][j]] == 0:  # unit arc saturated
-                request_to_box[r] = bi
-                break
-
-    # Residual reachability from the source marks the min-cut source side.
-    seen = [False] * nn
-    seen[src] = True
-    dq = deque([src])
-    while dq:
-        u = dq.popleft()
-        for eid in head[u]:
-            if cap[eid] > 0 and not seen[to[eid]]:
-                seen[to[eid]] = True
-                dq.append(to[eid])
-    source_side = {r for r in range(R) if seen[1 + r]}
-    return MaxFlowResult(value=value, request_to_box=request_to_box,
+    # The last levelling reached every node reachable from the source.
+    source_side = {r for r in range(R) if lev_r[r] >= 0}
+    return MaxFlowResult(value=value, request_to_box=assigned,
                          source_side=source_side)
 
 
 def build_request_graph(state: SimState, alloc: AllocationMap) -> FlowNetwork:
     """One request node per stripe of every playing session; holders are the
     active allocation replicas plus playback caches sufficiently ahead of the
-    requester. A box never holds for itself."""
-    t_s = state.cfg.t_s
+    requester. A box never holds for itself.
+
+    One pass over the active boxes' sessions and idle caches builds a
+    per-video table of each box's best cache position (what
+    SimState.cache_position answers). A request's holder set takes its seed
+    replicas in replica order, then its cache holders by ascending box id;
+    box_ids numbers boxes in the order the sets iterate."""
+    cfg = state.cfg
+    t_s = cfg.t_s
+    active = state.active
+    cached: dict[int, dict[int, int]] = {}  # video -> box (ascending) -> position
+    for b in range(cfg.n):
+        if not active[b]:
+            continue
+        for sess in state.sessions[b]:
+            best = cached.setdefault(sess.video, {})
+            if b not in best or best[b] < sess.position:
+                best[b] = sess.position
+        ic = state.idle_cache[b]
+        if ic is not None:
+            best = cached.setdefault(ic[0], {})
+            if b not in best or best[b] < ic[1]:
+                best[b] = ic[1]
+    live = list(active)  # the requester's own entry is cleared in turn
+
     requests: list[StripeId] = []
     requesters: list[int] = []
-    positions: list[int] = []
-    for box in range(state.cfg.n):
-        for sess in state.sessions[box]:
-            for j in range(state.cfg.s):
-                requests.append(StripeId(sess.video, j))
-                requesters.append(box)
-                positions.append(sess.position)
-
     box_index: dict[int, int] = {}
-    box_ids: list[int] = []
-
-    def bi_of(b: int) -> int:
-        if b not in box_index:
-            box_index[b] = len(box_ids)
-            box_ids.append(b)
-        return box_index[b]
-
     holder_arcs: list[list[int]] = []
-    for (stripe, requester, pos) in zip(requests, requesters, positions):
-        holders: set[int] = set()
-        for b in alloc.holders(stripe.video, stripe.stripe):
-            b = int(b)
-            if b != requester and state.active[b]:
-                holders.add(b)
-        for b in range(state.cfg.n):
-            if b == requester or not state.active[b]:
-                continue
-            cp = state.cache_position(b, stripe.video)
-            if cp is not None and cp >= pos + t_s:
-                holders.add(b)
-        if not holders:
-            raise Unschedulable(stripe)
-        holder_arcs.append(sorted(bi_of(b) for b in holders))
+    for box in range(cfg.n):
+        live[box] = False
+        for sess in state.sessions[box]:
+            v = sess.video
+            need = sess.position + t_s
+            ahead = [b for b, cp in cached.get(v, {}).items()
+                     if cp >= need and b != box]
+            for j, row in enumerate(alloc.placement[v].tolist()):
+                holders = set(filter(live.__getitem__, row))
+                holders.update(ahead)
+                if not holders:
+                    raise Unschedulable(StripeId(v, j))
+                if not box_index.keys() >= holders:
+                    for b in holders:
+                        if b not in box_index:
+                            box_index[b] = len(box_index)
+                requests.append(StripeId(v, j))
+                requesters.append(box)
+                holder_arcs.append(sorted(map(box_index.__getitem__, holders)))
+        live[box] = active[box]
 
-    box_caps = [int(state.slots[b]) for b in box_ids]
-    return FlowNetwork(requests=list(requests), requesters=requesters,
-                       box_ids=box_ids, box_caps=box_caps,
+    box_ids = list(box_index)
+    slots = state.slots.tolist()
+    return FlowNetwork(requests=requests, requesters=requesters,
+                       box_ids=box_ids, box_caps=[slots[b] for b in box_ids],
                        holder_arcs=holder_arcs)
 
 

@@ -32,6 +32,26 @@ def brute_force_min_cut(net: FlowNetwork) -> int:
     return int(cut.min())
 
 
+def scipy_max_flow_value(net: FlowNetwork) -> int:
+    """Max-flow value of a request network by scipy's maximum_flow, an
+    implementation independent of vodsim's."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_flow
+
+    R, B = net.num_requests, len(net.box_ids)
+    sink = R + B + 1
+    rows, cols, caps = [], [], []
+    for r in range(R):
+        rows.append(0), cols.append(1 + r), caps.append(1)
+        for bi in net.holder_arcs[r]:
+            rows.append(1 + r), cols.append(1 + R + bi), caps.append(1)
+    for bi in range(B):
+        rows.append(1 + R + bi), cols.append(sink), caps.append(net.box_caps[bi])
+    graph = csr_matrix((np.array(caps, dtype=np.int32), (rows, cols)),
+                       shape=(sink + 1, sink + 1))
+    return int(maximum_flow(graph, 0, sink).flow_value)
+
+
 def random_net(rng: random.Random, max_req: int = 12, max_box: int = 6,
                max_cap: int = 3, allow_empty: bool = False) -> FlowNetwork:
     R = rng.randint(1, max_req)

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_min_cut, random_net, tiny_config
+from helpers import (brute_force_min_cut, random_net, scipy_max_flow_value,
+                     tiny_config)
 from vodsim.allocation import allocate_regular
 from vodsim.maxflow import (FlowNetwork, Infeasible, Unschedulable,
                             build_request_graph, check_expander, dump_network,
@@ -34,6 +35,27 @@ def test_max_flow_matches_exhaustive_min_cut_small_nets():
     for _ in range(150):
         net = random_net(rng, max_req=6, max_box=4, allow_empty=True)
         assert max_flow(net).value == brute_force_min_cut(net)
+
+
+def test_max_flow_properties_on_random_nets():
+    pytest.importorskip("scipy")
+    rng = random.Random(2024)
+    for _ in range(1000):
+        net = random_net(rng, max_req=30, max_box=10, max_cap=4, allow_empty=True)
+        res = max_flow(net)
+        assert res.value == scipy_max_flow_value(net)
+        served = [r for r, bi in enumerate(res.request_to_box) if bi >= 0]
+        assert len(served) == res.value
+        load = [0] * len(net.box_ids)
+        for r in served:
+            assert res.request_to_box[r] in net.holder_arcs[r]
+            load[res.request_to_box[r]] += 1
+        assert all(used <= cap for used, cap in zip(load, net.box_caps))
+        # the source side certifies the value: its cut has the same capacity
+        side = res.source_side
+        nb = {bi for r in side for bi in net.holder_arcs[r]}
+        cut = net.num_requests - len(side) + sum(net.box_caps[bi] for bi in nb)
+        assert cut == res.value
 
 
 def test_expander_examples():
