@@ -18,7 +18,8 @@ import numpy as np
 from .allocation import AllocationMap
 from .config import SystemConfig, frac
 from .model import SimEvent, SimState
-from .scheduler import select_static
+# select_static is not called here, but perfbench hooks it under this name
+from .scheduler import StripeIndex, cache_capacity_ok, select_static  # noqa: F401
 
 ADVERSARY_KINDS = ("greedy", "random", "zipf", "trace", "stressless")
 
@@ -178,11 +179,11 @@ class TraceAdversary(Adversary):
 
 class GreedyAdversary(Adversary):
     """Strong-flavored: aware of allocation and current connections, picks
-    the video whose forced uploader choice (under the static selection rule)
-    has minimal remaining upload; unsatisfiable videos score lowest of all.
-    Ties break to the lowest video id. Knowledge is pre-establishment: the
-    score is a snapshot, uploads hypothetically consumed within the same
-    request are not discounted."""
+    the video whose weakest stripe leaves the fewest free upload slots at the
+    uploader the static scheduler would pick; videos with an unsatisfiable
+    stripe score lowest of all. Ties break to the lowest video id. Knowledge
+    is pre-establishment: the score is a snapshot, uploads hypothetically
+    consumed within the same request are not discounted."""
 
     def __init__(self, cfg, spec, alloc: AllocationMap, eligible=None):
         super().__init__(cfg, spec, eligible)
@@ -193,42 +194,27 @@ class GreedyAdversary(Adversary):
         return int(np.argmin(scores))
 
     def scores(self, state: SimState, requester: int) -> np.ndarray:
-        """Per-video score: remaining free slots of the weakest uploader the
-        scheduler would select; -1 when some stripe is unsatisfiable."""
-        cfg = self.cfg
-        H = self.alloc.placement  # (m, s, k)
+        """Per-video score: min over stripes of the free slots of the uploader
+        `select_static` would pick; -1 when some stripe has no acceptor.
+
+        `select_static` ranks acceptors by (-free, load for the video, box),
+        so its pick always has the most free slots among the stripe's
+        acceptors: a stripe scores that maximum, with no loads, tie-breaks
+        or dry runs."""
         free = state.free.astype(np.int64)
-        active = np.asarray(state.active)
-        F = free[H]
-        elig = active[H] & (F > 0) & (H != requester)
-        # the static selection key (most free, then least loaded for the
-        # video, then lowest box id) reduces to most free, then lowest id:
-        # loads are zero for every video without connections, and hot
-        # videos are overridden below
-        key = -F * cfg.n + H
-        key = np.where(elig, key, np.iinfo(np.int64).max)
-        best = key.argmin(axis=2)
-        chosen_free = np.take_along_axis(F, best[:, :, None], axis=2)[:, :, 0]
-        stripe_ok = elig.any(axis=2)
-        feasible = stripe_ok.all(axis=1)
-        scores = np.where(feasible, np.where(stripe_ok, chosen_free, 0).min(axis=1), -1)
-        scores = scores.astype(np.int64)
-
-        hot = set(state.video_load) | set(state.swarms) | set(state.idle_cache_by_video)
-        for v in hot:
-            scores[v] = self._dry_run(state, requester, v)
-        return scores
-
-    def _dry_run(self, state: SimState, requester: int, video: int) -> int:
-        worst = None
-        for j in range(self.cfg.s):
-            choice = select_static(state, self.alloc, requester, video, j)
-            if choice is None:
-                return -1
-            b, _ = choice
-            rem = int(state.free[b])
-            worst = rem if worst is None else min(worst, rem)
-        return worst
+        usable = np.array(state.active, dtype=bool)  # a copy, never an alias
+        usable[requester] = False
+        best = np.where(usable, free, 0)[self.alloc.placement].max(axis=2)
+        # a cache t_S ahead serves every stripe of its video alike; a cache
+        # box that holds a replica already counts above as a seed source
+        index, t_s = StripeIndex(state, self.alloc), self.cfg.t_s
+        for v in set(state.swarms) | set(state.idle_cache_by_video):
+            c = max((free[b] for b, pos in index.cache_candidates(v)
+                     if pos >= t_s and usable[b] and cache_capacity_ok(state, b)),
+                    default=0)
+            best[v] = np.maximum(best[v], c)
+        worst = best.min(axis=1)
+        return np.where(worst > 0, worst, -1)
 
 
 def make_adversary(cfg: SystemConfig, spec: AdversarySpec,

@@ -99,7 +99,7 @@ class StripeIndex:
         return sorted(best.items())
 
 
-def _cache_capacity_ok(state: SimState, x: int) -> bool:
+def cache_capacity_ok(state: SimState, x: int) -> bool:
     # one slot per box is reserved for allocation-replica uploads
     return state.free[x] > 0 and state.cache_up[x] + 1 <= state.slots[x] - 1
 
@@ -138,7 +138,7 @@ def grant_connection(x: int, req: ConnectionRequest, state: SimState,
 
     # Step 2: enough upload capacity (cache grants keep the reserved slot).
     if req.kind == CACHE:
-        if _cache_capacity_ok(state, x):
+        if cache_capacity_ok(state, x):
             return GrantDecision(step=2, accept=True)
     elif state.free[x] > 0:
         return GrantDecision(step=2, accept=True)
@@ -210,7 +210,7 @@ def static_candidates(state: SimState, alloc: AllocationMap, requester: int,
             continue
         if pos < position + state.cfg.t_s:
             continue
-        if not _cache_capacity_ok(state, b):
+        if not cache_capacity_ok(state, b):
             continue
         bybox[b] = (-int(state.free[b]), state.load_for_video(b, video), b, CACHE)
     return sorted(bybox.values())

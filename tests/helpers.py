@@ -8,6 +8,7 @@ import numpy as np
 
 from vodsim.config import SystemConfig, frac
 from vodsim.maxflow import FlowNetwork
+from vodsim.scheduler import select_static
 
 
 def brute_force_min_cut(net: FlowNetwork) -> int:
@@ -50,6 +51,19 @@ def scipy_max_flow_value(net: FlowNetwork) -> int:
     graph = csr_matrix((np.array(caps, dtype=np.int32), (rows, cols)),
                        shape=(sink + 1, sink + 1))
     return int(maximum_flow(graph, 0, sink).flow_value)
+
+
+def dry_run_scores(state, alloc, requester: int) -> np.ndarray:
+    """Reference greedy scores by a per-stripe `select_static` dry run of
+    every video: -1 when some stripe has no uploader, otherwise the fewest
+    free slots among the uploaders it picks."""
+    scores = np.empty(state.cfg.m, dtype=np.int64)
+    for v in range(state.cfg.m):
+        picks = [select_static(state, alloc, requester, v, j)
+                 for j in range(state.cfg.s)]
+        scores[v] = (-1 if any(p is None for p in picks)
+                     else min(int(state.free[b]) for b, _ in picks))
+    return scores
 
 
 def random_net(rng: random.Random, max_req: int = 12, max_box: int = 6,

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import chi_square_stat, tiny_config
+from helpers import chi_square_stat, dry_run_scores, tiny_config
 from vodsim import adversary as adv
 from vodsim.allocation import _finish, allocate_regular
 from vodsim.config import SystemConfig
@@ -161,6 +162,65 @@ class TestGreedy:
             if not eng.issue_request(box, video):
                 break
             eng.state.tick += 1
+
+    def test_scores_equal_dry_run_on_random_states(self):
+        # random static states: offline boxes, stop-event idle caches on both
+        # sides of t_S, requesters inside a swarm, boxes whose reserved slot
+        # bars cache uploads, and loads of a video that has no swarm
+        from vodsim.engine import Engine
+        seen = Counter()
+        for trial in range(80):
+            rng = random.Random(trial)
+            n, s = 12, rng.choice((2, 3))
+            upload = tuple(rng.choice((1, Fraction(3, 2), 2)) for _ in range(n))
+            cfg = SystemConfig(n=n, upload=upload, storage=(Fraction(2),) * n,
+                               c=s, s=s, k=2, m=n, t_s=2)
+            alloc = allocate_regular(cfg, trial)
+            greedy = adv.GreedyAdversary(cfg, adv.AdversarySpec(kind="greedy"), alloc)
+            eng = Engine(cfg, alloc, "static", seed=trial)
+            st, t_s = eng.state, cfg.t_s
+            for _ in range(40):
+                r = rng.random()
+                active = [b for b in range(n) if st.active[b]]
+                idle = [b for b in active if not st.sessions[b]]
+                playing = [b for b in active if st.sessions[b]]
+                if r < 0.4 and idle:
+                    video = rng.randrange(3) if rng.random() < 0.7 else rng.randrange(cfg.m)
+                    eng.issue_request(rng.choice(idle), video)
+                elif r < 0.65:
+                    eng._advance_playback(completions=False)
+                    st.tick += 1
+                elif r < 0.78 and playing:
+                    eng.apply(SimEvent(time=st.tick, box=rng.choice(playing), kind="stop"))
+                elif r < 0.86 and active:
+                    eng.apply(SimEvent(time=st.tick, box=rng.choice(active), kind="fail"))
+                elif r < 0.9 and len(active) < n:
+                    down = rng.choice([b for b in range(n) if not st.active[b]])
+                    eng.apply(SimEvent(time=st.tick, box=down, kind="resurrect"))
+                else:  # a download whose session is in no swarm
+                    v = rng.randrange(cfg.m)
+                    ups = [int(b) for b in alloc.holders(v, 0)
+                           if st.active[b] and st.free[b] > 0]
+                    if ups:
+                        ghost = PlaybackSession(box=(ups[0] + 1) % n, video=v,
+                                                start_tick=st.tick)
+                        st.install_connection(ups[0], ghost, 0, SEED)
+                members = [sess for swarm in st.swarms.values() for sess in swarm]
+                for req in {rng.randrange(n), *[sess.box for sess in members[:1]]}:
+                    expected = dry_run_scores(st, alloc, req)
+                    assert np.array_equal(greedy.scores(st, req), expected)
+                    seen["requester_in_swarm"] += any(m.box == req for m in members)
+                ics = [ic for ic in st.idle_cache if ic is not None]
+                seen["offline"] += not all(st.active)
+                seen["idle_cache_below_t_s"] += any(p < t_s for _, p in ics)
+                seen["idle_cache_at_t_s_or_more"] += any(p >= t_s for _, p in ics)
+                seen["position_t_s_minus_1"] += any(m.position == t_s - 1 for m in members)
+                seen["position_t_s"] += any(m.position == t_s for m in members)
+                seen["reserved_slot_limit"] += any(
+                    m.position >= t_s and st.active[m.box] and st.free[m.box] > 0
+                    and st.cache_up[m.box] + 1 > st.slots[m.box] - 1 for m in members)
+                seen["load_without_swarm"] += bool(set(st.video_load) - set(st.swarms))
+        assert len(seen) == 8 and min(seen.values()) > 0, seen
 
     def test_greedy_strictly_weaker_than_random_at_k2(self):
         from vodsim.cli import config_for_k, probe_point
