@@ -10,8 +10,8 @@ from .allocation import (AllocationMap, ReservationPlan, allocate_regular,
                          allocate_purely_random, reserve_poor_capacity)
 from .maxflow import (FlowNetwork, Infeasible, build_request_graph, max_flow,
                       schedule_maxflow, check_expander)
-from .scheduler import (ConnectionRequest, GrantDecision, StripeIndex,
-                        grant_connection, DistributedScheduler)
+from .scheduler import (ConnectionRequest, GrantDecision, grant_connection,
+                        DistributedScheduler)
 from .adversary import (AdversarySpec, PopularityTrace, make_adversary,
                         generate_stressless, validate_sequence)
 from .engine import Metrics, run, saturation_probe, check_forest

@@ -11,6 +11,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,7 +20,7 @@ from .allocation import AllocationMap
 from .config import SystemConfig, frac
 from .model import SimEvent, SimState
 # select_static is not called here, but perfbench hooks it under this name
-from .scheduler import StripeIndex, cache_capacity_ok, select_static  # noqa: F401
+from .scheduler import cache_capacity_ok, select_static  # noqa: F401
 
 ADVERSARY_KINDS = ("greedy", "random", "zipf", "trace", "stressless")
 
@@ -207,10 +208,9 @@ class GreedyAdversary(Adversary):
         best = np.where(usable, free, 0)[self.alloc.placement].max(axis=2)
         # a cache t_S ahead serves every stripe of its video alike; a cache
         # box that holds a replica already counts above as a seed source
-        index, t_s = StripeIndex(state, self.alloc), self.cfg.t_s
         for v in set(state.swarms) | set(state.idle_cache_by_video):
-            c = max((free[b] for b, pos in index.cache_candidates(v)
-                     if pos >= t_s and usable[b] and cache_capacity_ok(state, b)),
+            c = max((free[b] for b in state.cache_sources(v, 0)
+                     if b != requester and cache_capacity_ok(state, b)),
                     default=0)
             best[v] = np.maximum(best[v], c)
         worst = best.min(axis=1)
@@ -258,13 +258,13 @@ class GrowthTracker:
 
     def _windows(self, video: int, tick: int):
         anchors = dict(self.anchors.get(video, {}))
-        evs = self.events.get(video, [])
+        evs = self.events.get(video, [])  # in tick order
         if evs and evs[-1][0] < tick and evs[-1][0] not in anchors:
             anchors[evs[-1][0]] = self.size.get(video, 0)
+        upto = bisect_right(evs, tick, key=itemgetter(0))
         for t0, size0 in anchors.items():
             if t0 < tick and size0 > 0:
-                cnt = sum(1 for e, _ in evs if t0 < e <= tick)
-                yield t0, size0, cnt
+                yield t0, size0, upto - bisect_right(evs, t0, key=itemgetter(0))
 
     def violation(self, video: int, tick: int, delta: int = 1) -> Optional[str]:
         """Message if one more event for this video at this tick would break

@@ -173,9 +173,8 @@ class Engine:
             idx = cursor.get((down, stripe.video, stripe.stripe), 0)
             cursor[(down, stripe.video, stripe.stripe)] = idx + 1
             sess = sessions[idx % len(sessions)]
-            cp = self.state.cache_position(up, stripe.video)
-            kind = CACHE if (cp is not None
-                             and cp >= sess.position + self.cfg.t_s) else SEED
+            kind = (CACHE if self.state.cache_ahead(up, stripe.video, sess.position)
+                    else SEED)
             self.state.install_connection(up, sess, stripe.stripe, kind)
         return True
 

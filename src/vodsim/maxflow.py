@@ -1,9 +1,8 @@
 """Centralized tracker: bipartite request/holder network, max-flow scheduling
 and the exhaustive expander (Hall condition) verifier for desk-scale nets.
 
-build_request_graph makes one pass over the active boxes' sessions and idle
-caches to fill a per-solve cache table (per video, each box's best cache
-position) and reuses a session's cache holders for all its stripes.
+build_request_graph takes each session's cache holders from
+SimState.cache_sources once and reuses them for all its stripes.
 max_flow runs Dinic's algorithm on the implicit residual graph of the
 unit-demand network: the flow is each request's assigned box and each box's
 load, and the residual arcs follow from those, so no edge list is built."""
@@ -181,29 +180,14 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
 def build_request_graph(state: SimState, alloc: AllocationMap) -> FlowNetwork:
     """One request node per stripe of every playing session; holders are the
     active allocation replicas plus playback caches sufficiently ahead of the
-    requester. A box never holds for itself.
+    requester (SimState.cache_sources). A box never holds for itself.
 
-    One pass over the active boxes' sessions and idle caches builds a
-    per-video table of each box's best cache position (what
-    SimState.cache_position answers). A request's holder set takes its seed
-    replicas in replica order, then its cache holders by ascending box id;
-    box_ids numbers boxes in the order the sets iterate."""
+    A session's cache holders are found once for all its stripes. A
+    request's holder set takes its seed replicas in replica order, then its
+    cache holders by ascending box id; box_ids numbers boxes in the order
+    the sets iterate."""
     cfg = state.cfg
-    t_s = cfg.t_s
     active = state.active
-    cached: dict[int, dict[int, int]] = {}  # video -> box (ascending) -> position
-    for b in range(cfg.n):
-        if not active[b]:
-            continue
-        for sess in state.sessions[b]:
-            best = cached.setdefault(sess.video, {})
-            if b not in best or best[b] < sess.position:
-                best[b] = sess.position
-        ic = state.idle_cache[b]
-        if ic is not None:
-            best = cached.setdefault(ic[0], {})
-            if b not in best or best[b] < ic[1]:
-                best[b] = ic[1]
     live = list(active)  # the requester's own entry is cleared in turn
 
     requests: list[StripeId] = []
@@ -214,9 +198,7 @@ def build_request_graph(state: SimState, alloc: AllocationMap) -> FlowNetwork:
         live[box] = False
         for sess in state.sessions[box]:
             v = sess.video
-            need = sess.position + t_s
-            ahead = [b for b, cp in cached.get(v, {}).items()
-                     if cp >= need and b != box]
+            ahead = [b for b in state.cache_sources(v, sess.position) if b != box]
             for j, row in enumerate(alloc.placement[v].tolist()):
                 holders = set(filter(live.__getitem__, row))
                 holders.update(ahead)

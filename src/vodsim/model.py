@@ -75,9 +75,6 @@ class ConnectionAssignment:
             out[up] = out.get(up, 0) + 1
         return out
 
-    def incoming(self, box: int) -> list[tuple[int, StripeId]]:
-        return [(up, st) for down, up, st in self.entries if down == box]
-
 
 @dataclass(frozen=True)
 class SimEvent:
@@ -220,9 +217,6 @@ class SimState:
             if not members:
                 del self.swarms[session.video]
 
-    def swarm_of(self, video: int) -> list[PlaybackSession]:
-        return self.swarms.get(video, [])
-
     def cache_position(self, box: int, video: int) -> Optional[int]:
         """Best data position box can serve video from (playback or idle
         cache); None when it has no cached data of that video."""
@@ -234,6 +228,23 @@ class SimState:
         if ic is not None and ic[0] == video:
             best = ic[1] if best is None else max(best, ic[1])
         return best
+
+    def cache_ahead(self, box: int, video: int, position: int) -> bool:
+        """The cache-source rule: box may serve video from its playback or
+        idle cache to a downloader at position only when its data is at least
+        t_S ahead."""
+        cp = self.cache_position(box, video)
+        return cp is not None and cp >= position + self.cfg.t_s
+
+    def cache_sources(self, video: int, position: int) -> list[int]:
+        """Active boxes that pass cache_ahead(box, video, position), in
+        ascending box id: one pass over the video's swarm and idle caches."""
+        need = position + self.cfg.t_s
+        boxes = {sess.box for sess in self.swarms.get(video, ())
+                 if sess.position >= need}
+        boxes.update(b for b in self.idle_cache_by_video.get(video, ())
+                     if self.idle_cache[b][1] >= need)
+        return sorted(b for b in boxes if self.active[b])
 
     def playing(self, box: int, video: int) -> bool:
         return any(sess.video == video for sess in self.sessions[box])

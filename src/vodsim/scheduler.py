@@ -12,7 +12,9 @@ sources, swarm playback caches as cache sources):
   connection flipping and seed re-search.
 
 A box serving from its playback cache must be at least t_S ticks of data
-ahead of the requested position (decision shared with the flow scheduler).
+ahead of the requested position. That rule lives in one place,
+SimState.cache_ahead and SimState.cache_sources, which both schedulers, the
+flow tracker and the greedy adversary read.
 One upload slot per box is never granted to cache traffic: it stays
 reserved for serving allocation replicas.
 """
@@ -59,53 +61,17 @@ class SearchFailure:
     reason: str = "exhausted"
 
 
-class StripeIndex:
-    """Global stand-in for the distributed index: full allocation holder
-    lists, swarm membership with positions, and active seed-download counts
-    feeding the v_S gate."""
-
-    def __init__(self, state: SimState, alloc: AllocationMap):
-        self.state = state
-        self.alloc = alloc
-
-    def allocation_holders(self, stripe: StripeId) -> list[int]:
-        return [int(b) for b in self.alloc.holders(stripe.video, stripe.stripe)]
-
-    def swarm_size(self, video: int) -> int:
-        return len(self.state.swarm_of(video))
-
-    def seed_downloads(self, stripe: StripeId) -> int:
-        return int(self.state.seed_active[stripe.video, stripe.stripe])
-
-    def gate_open(self, stripe: StripeId) -> bool:
-        """Allocation holders are probed only while the swarm is small or the
-        stripe has few active seed downloads."""
-        v_s = self.state.cfg.v_s
-        return (self.swarm_size(stripe.video) < v_s
-                or self.seed_downloads(stripe) < v_s)
-
-    def cache_candidates(self, video: int) -> list[tuple[int, int]]:
-        """(box, best available position) for every box able to serve the
-        video from a playback cache."""
-        best: dict[int, int] = {}
-        for sess in self.state.swarm_of(video):
-            b = sess.box
-            if sess.position > best.get(b, -1):
-                best[b] = sess.position
-        for b in self.state.idle_cache_by_video.get(video, ()):  # finished/stopped
-            ic = self.state.idle_cache[b]
-            if ic is not None and ic[0] == video and ic[1] > best.get(b, -1):
-                best[b] = ic[1]
-        return sorted(best.items())
+def gate_open(state: SimState, stripe: StripeId) -> bool:
+    """Allocation holders are probed only while the swarm is small or the
+    stripe has few active seed downloads (the v_S gate)."""
+    v_s = state.cfg.v_s
+    return (state.swarm_size[stripe.video] < v_s
+            or state.seed_active[stripe.video, stripe.stripe] < v_s)
 
 
 def cache_capacity_ok(state: SimState, x: int) -> bool:
     # one slot per box is reserved for allocation-replica uploads
     return state.free[x] > 0 and state.cache_up[x] + 1 <= state.slots[x] - 1
-
-
-def _position_of(state: SimState, x: int, video: int) -> Optional[int]:
-    return state.cache_position(x, video)
 
 
 def _parent_of(state: SimState, x: int, video: int, j: int) -> Optional[int]:
@@ -130,11 +96,9 @@ def grant_connection(x: int, req: ConnectionRequest, state: SimState,
 
     # Cache service needs x's data sufficiently ahead of the requested
     # position; without it the only option is redirecting up x's chain.
-    if req.kind == CACHE:
-        pos = _position_of(state, x, v)
-        if pos is None or pos < req.position + state.cfg.t_s:
-            return GrantDecision(step=4, accept=False,
-                                 flip_to=_parent_of(state, x, v, j))
+    if req.kind == CACHE and not state.cache_ahead(x, v, req.position):
+        return GrantDecision(step=4, accept=False,
+                             flip_to=_parent_of(state, x, v, j))
 
     # Step 2: enough upload capacity (cache grants keep the reserved slot).
     if req.kind == CACHE:
@@ -198,17 +162,13 @@ def static_candidates(state: SimState, alloc: AllocationMap, requester: int,
     re-negotiated here). A box holding the replica serves as a seed source;
     cache service additionally needs the position margin and respects the
     reserved slot."""
-    stripe = StripeId(video, j)
     bybox: dict[int, tuple] = {}
-    index = StripeIndex(state, alloc)
-    for b in index.allocation_holders(stripe):
+    for b in alloc.holders(video, j).tolist():
         if b == requester or not state.active[b] or state.free[b] <= 0:
             continue
         bybox[b] = (-int(state.free[b]), state.load_for_video(b, video), b, SEED)
-    for b, pos in index.cache_candidates(video):
-        if b in bybox or b == requester or not state.active[b]:
-            continue
-        if pos < position + state.cfg.t_s:
+    for b in state.cache_sources(video, position):
+        if b in bybox or b == requester:
             continue
         if not cache_capacity_ok(state, b):
             continue
@@ -286,7 +246,6 @@ class DistributedScheduler:
                  fanout: int = 3, trace: bool = False):
         self.state = state
         self.alloc = alloc
-        self.index = StripeIndex(state, alloc)
         self.rng = rng
         self.fanout = fanout
         self.stats = SearchStats()
@@ -306,17 +265,16 @@ class DistributedScheduler:
     # -- candidate lists --
 
     def _swarm_sample(self, video: int, requester: int, position: int) -> list[int]:
-        cands = [(b, pos) for b, pos in self.index.cache_candidates(video)
-                 if b != requester and self.state.active[b]
-                 and pos >= position + self.state.cfg.t_s]
+        cands = [b for b in self.state.cache_sources(video, position)
+                 if b != requester]
         limit = min(len(cands), 8 * max(1, math.ceil(math.log2(max(2, self.state.cfg.n)))))
-        picked = self.rng.sample(cands, limit) if limit < len(cands) else list(cands)
+        picked = self.rng.sample(cands, limit) if limit < len(cands) else cands
         self.rng.shuffle(picked)
-        return [b for b, _ in picked]
+        return picked
 
     def _seed_list(self, stripe: StripeId, requester: int) -> list[int]:
         # replica order: the forward scan of the allocation list
-        return [b for b in self.index.allocation_holders(stripe)
+        return [b for b in self.alloc.holders(stripe.video, stripe.stripe).tolist()
                 if b != requester and self.state.active[b]]
 
     # -- searching --
@@ -333,7 +291,7 @@ class DistributedScheduler:
         if not seed_only:
             for b in self._swarm_sample(session.video, session.box, session.position):
                 candidates.append((b, CACHE))
-        if self.index.gate_open(stripe) or seed_only:
+        if gate_open(st, stripe) or seed_only:
             for b in self._seed_list(stripe, session.box):
                 candidates.append((b, SEED))
             self.stats.note_seed_search(stripe)
@@ -342,7 +300,7 @@ class DistributedScheduler:
 
         probed = 0
         seen: set[int] = set()
-        chain_guard = max(1, self.index.swarm_size(session.video)) + 1
+        chain_guard = max(1, int(st.swarm_size[session.video])) + 1
         flips_followed = 0
         i = 0
         queue = candidates
@@ -460,13 +418,3 @@ class DistributedScheduler:
         if not sess.missing_stripes(self.state.cfg.s):
             sess.started = True
         return sess
-
-
-def reseed_on_cancel(scheduler: DistributedScheduler,
-                     canceled: Connection) -> ConnectionRequest:
-    """A cache demand cancelled a seed upload: enqueue a fresh seed search
-    for the orphaned downloader."""
-    req = ConnectionRequest(requester=canceled.session.box, stripe=canceled.stripe,
-                            position=canceled.session.position, kind=SEED)
-    scheduler.pending.append((canceled.session, canceled.stripe.stripe, None, True))
-    return req

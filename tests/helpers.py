@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -86,6 +87,19 @@ def tiny_config(n=4, u=1, d=2, c=2, s=1, k=2, m=None, **kw) -> SystemConfig:
         m = n * d // k
     return SystemConfig(n=n, upload=(frac(u),) * n,
                         storage=(frac(d),) * n, c=c, s=s, k=k, m=m, **kw)
+
+
+def tiny_hetero_config() -> SystemConfig:
+    """Criterion 8's kind of system, scaled down: n=24, s=4, uploads
+    alternate 2 and 9/4, storage proportional to upload, purely random
+    allocation with k=6."""
+    n, s, k = 24, 4, 6
+    upload = tuple(Fraction(2) if i % 2 == 0 else Fraction(9, 4) for i in range(n))
+    storage = tuple(s * u for u in upload)
+    m = sum(int(d * s) for d in storage) // (k * s)
+    return SystemConfig(n=n, upload=upload, storage=storage, c=s, s=s, m=m, k=k,
+                        v_s=5, mu=Fraction(2), a=Fraction(9, 10),
+                        allocation_mode="purely_random")
 
 
 def spearman(xs, ys) -> float:

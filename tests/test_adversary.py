@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -5,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import chi_square_stat, dry_run_scores, tiny_config
+from helpers import (chi_square_stat, dry_run_scores, tiny_config,
+                     tiny_hetero_config)
 from vodsim import adversary as adv
 from vodsim.allocation import _finish, allocate_regular
 from vodsim.config import SystemConfig
@@ -368,3 +370,27 @@ class TestStresslessGenerator:
         assert result.warnings
         assert adv.validate_sequence(cfg, result.events,
                                      swarms_per_video=1) == []
+
+    # sha256 over dump_events, the warnings and validate_sequence's output of
+    # 300-event sequences for seeds 0-3 at p_f 0.01 and 0.1, recorded before
+    # GrowthTracker counted windows by bisection
+    @pytest.mark.parametrize("make_cfg,digest", [
+        (lambda: stress_cfg(n=3, m=1),  # exhausts on some seeds: warnings
+         "b8e51c56502ee8d8282f50ff51555a99463e4b89ad944b2923cc9904cafab672"),
+        (lambda: stress_cfg(n=20, m=10, a="4/5"),
+         "996f2acca3bbaa7fd0971ace36a6d27f716b9543af556522c25bbecdab523c7d"),
+        (tiny_hetero_config,
+         "849ba56a066a4b271760636ae386911bf01f31e17cccd790cf830c39a8b94595"),
+    ], ids=["n3", "n20", "hetero"])
+    def test_sequences_unchanged(self, make_cfg, digest):
+        cfg = make_cfg()
+        h = hashlib.sha256()
+        for p_f in (0.01, 0.1):
+            for seed in range(4):
+                spec = adv.AdversarySpec(kind="stressless", seed=seed, p_f=p_f)
+                res = adv.generate_stressless(cfg, spec, 300)
+                for part in (adv.dump_events(res.events), *res.warnings,
+                             *adv.validate_sequence(cfg, res.events,
+                                                    swarms_per_video=1)):
+                    h.update(part.encode() + b"\n")
+        assert h.hexdigest() == digest

@@ -86,7 +86,7 @@ def test_zap_keeps_uploads_alive_with_expiry():
     assert not c1.closed and not c2.closed
     # the zapping box's own downloads are severed
     assert parent.closed
-    assert state.swarm_of(0) == [other]
+    assert state.swarms.get(0, []) == [other]
 
 
 def test_stop_freezes_cache_position():
@@ -128,4 +128,4 @@ def test_assignment_snapshot():
     asg = state.assignment()
     assert asg.rate == Fraction(1, 2)
     assert sorted(asg.per_uploader()) == [1, 2]
-    assert len(asg.incoming(0)) == 2
+    assert sum(down == 0 for down, _, _ in asg.entries) == 2

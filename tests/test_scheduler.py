@@ -1,16 +1,18 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
-from vodsim.allocation import _finish
+from vodsim.allocation import _finish, allocate_regular
 from vodsim.config import SystemConfig
-from vodsim.model import (CACHE, SEED, PlaybackSession, SimState, StripeId)
+from vodsim.engine import Engine
+from vodsim.model import (CACHE, SEED, PlaybackSession, SimEvent, SimState,
+                          StripeId)
 from vodsim.scheduler import (ConnectionRequest, DistributedScheduler,
-                              grant_connection, reseed_on_cancel,
-                              schedule_request_static, select_static,
-                              static_candidates)
+                              grant_connection, schedule_request_static,
+                              select_static, static_candidates)
 
 
 def handcrafted(n, upload, storage, placement, s=1, c=None, v_s=5, m=None, k=None):
@@ -277,17 +279,6 @@ class TestConnectionFlipping:
 
 
 class TestReseed:
-    def test_reseed_enqueues_seed_search(self):
-        cfg, state, alloc = handcrafted(4, upload=[2, 1, 1, 1],
-                                        storage=[1, 1, 1, 1],
-                                        placement=[[[0]], [[1]]])
-        downloader = add_session(state, 2, 1)
-        canceled = state.install_connection(0, downloader, 0, SEED)
-        sched = DistributedScheduler(state, alloc, random.Random(3))
-        req = reseed_on_cancel(sched, canceled)
-        assert req.kind == SEED
-        assert sched.pending[-1][3] is True  # seed-only search queued
-
     def test_eviction_of_seed_triggers_reseed_path(self):
         # box 0 plays v0 and is saturated by two seed uploads of other videos;
         # a cache request for v0 evicts one and the victim re-seeds from the
@@ -348,4 +339,87 @@ class TestStaticSelection:
         assert sess is None
         assert (state.free == free_before).all()
         assert state.sessions[1] == []
-        assert state.swarm_of(0) == []
+        assert state.swarms.get(0, []) == []
+
+
+class TestCacheSourceRule:
+    def test_one_rule_on_random_states(self):
+        # random static states with failed boxes, a box switched off while it
+        # still holds a cache, idle caches from stop events and from
+        # completions, and positions at, and one below, t_S ahead of each
+        # query: cache_sources matches a brute-force scan, cache_ahead agrees
+        # with it, and a cache grant refuses at step 4 exactly when
+        # cache_ahead is false
+        seen = Counter()
+        for trial in range(30):
+            rng = random.Random(trial)
+            n, s = 12, rng.choice((1, 2))
+            cfg = SystemConfig(n=n, upload=tuple(rng.choice((1, 2, 3)) for _ in range(n)),
+                               storage=(Fraction(2),) * n, c=s, s=s, k=2, m=n,
+                               t_s=2, video_duration=6)
+            alloc = allocate_regular(cfg, trial)
+            eng = Engine(cfg, alloc, "static", seed=trial)
+            st = eng.state
+            for _ in range(30):
+                r = rng.random()
+                active = [b for b in range(n) if st.active[b]]
+                idle = [b for b in active if not st.sessions[b]]
+                playing = [b for b in active if st.sessions[b]]
+                if r < 0.4 and idle:
+                    eng.issue_request(rng.choice(idle), rng.randrange(3))
+                elif r < 0.65:
+                    completed = {sess.box for ss in st.sessions for sess in ss
+                                 if sess.position + 1 >= cfg.video_duration}
+                    eng._advance_playback()
+                    st.tick += 1
+                    seen["idle_cache_from_completion"] += any(
+                        st.idle_cache[b] is not None for b in completed)
+                elif r < 0.78 and playing:
+                    box = rng.choice(playing)
+                    eng.apply(SimEvent(time=st.tick, box=box, kind="stop"))
+                    seen["idle_cache_from_stop"] += st.idle_cache[box] is not None
+                elif r < 0.86 and active:
+                    eng.apply(SimEvent(time=st.tick, box=rng.choice(active), kind="fail"))
+                    seen["failed_box"] += 1
+                elif r < 0.9 and playing:
+                    st.active[rng.choice(playing)] = False
+                    seen["offline_with_cache"] += 1
+                elif len(active) < n:
+                    down = rng.choice([b for b in range(n) if not st.active[b]])
+                    eng.apply(SimEvent(time=st.tick, box=down, kind="resurrect"))
+                self.check_state(st, rng, seen)
+        assert len(seen) == 8 and min(seen.values()) > 0, seen
+
+    @staticmethod
+    def check_state(st, rng, seen):
+        cfg, t_s = st.cfg, st.cfg.t_s
+        cached = {}  # (box, video) -> best cache position
+        for b in range(cfg.n):
+            caches = [(sess.video, sess.position) for sess in st.sessions[b]]
+            if st.idle_cache[b] is not None:
+                caches.append(st.idle_cache[b])
+            for v, p in caches:
+                cached[b, v] = max(p, cached.get((b, v), p))
+        requester = rng.randrange(cfg.n)
+        for v in sorted({v for _, v in cached}):
+            for position in range(cfg.video_duration + 1):
+                need = position + t_s
+                expected = sorted(b for (b, vv), p in cached.items()
+                                  if vv == v and p >= need and st.active[b])
+                assert st.cache_sources(v, position) == expected
+                seen["at_t_s"] += any(p == need for (_, vv), p in cached.items() if vv == v)
+                seen["one_below_t_s"] += any(p == need - 1 for (_, vv), p in cached.items()
+                                             if vv == v)
+                for b in range(cfg.n):
+                    if not st.active[b]:
+                        continue
+                    ahead = st.cache_ahead(b, v, position)
+                    assert ahead == (b in expected)
+                    j = rng.randrange(cfg.s)
+                    if b == requester or (not st.playing(b, v)
+                                          and st.uploads_stripe(b, StripeId(v, j))):
+                        continue  # refused at step 0 or 1
+                    d = grant_connection(b, cache_req(requester, v, j, position), st, rng)
+                    assert (d.step == 4) == (not ahead)
+                    seen["step4_refusals"] += d.step == 4
+                    seen["past_step4"] += d.step != 4

@@ -4,27 +4,13 @@ summaries were recorded from the edge-list Dinic tracker, before the solver
 moved to the implicit residual graph; any change to which uploader serves
 which stripe shows here."""
 
-from fractions import Fraction
-
 import pytest
 
 from vodsim import adversary as adv
 from vodsim.allocation import allocate_purely_random
-from vodsim.config import SystemConfig
 from vodsim.engine import run
 
-
-def tiny_hetero_config() -> SystemConfig:
-    """Criterion 8's kind of system, scaled down: n=24, s=4, uploads
-    alternate 2 and 9/4, storage proportional to upload, purely random
-    allocation with k=6."""
-    n, s, k = 24, 4, 6
-    upload = tuple(Fraction(2) if i % 2 == 0 else Fraction(9, 4) for i in range(n))
-    storage = tuple(s * u for u in upload)
-    m = sum(int(d * s) for d in storage) // (k * s)
-    return SystemConfig(n=n, upload=upload, storage=storage, c=s, s=s, m=m, k=k,
-                        v_s=5, mu=Fraction(2), a=Fraction(9, 10),
-                        allocation_mode="purely_random")
+from helpers import tiny_hetero_config
 
 
 # seed -> (metrics summary, sorted (downloader, uploader, video, stripe))
