@@ -4,10 +4,9 @@ centralized max-flow and distributed playback-cache-first schedulers, and
 adversarial request/churn workloads."""
 
 from .config import SystemConfig, validate_config, load_config, parse_config
-from .model import (StripeId, BoxState, SimEvent, SimState,
-                    ConnectionAssignment, apply_event)
-from .allocation import (AllocationMap, ReservationPlan, allocate_regular,
-                         allocate_purely_random, reserve_poor_capacity)
+from .model import (StripeId, SimEvent, SimState, ConnectionAssignment,
+                    apply_event)
+from .allocation import AllocationMap, allocate_regular, allocate_purely_random
 from .maxflow import (FlowNetwork, Infeasible, build_request_graph, max_flow,
                       schedule_maxflow, check_expander)
 from .scheduler import (ConnectionRequest, GrantDecision, grant_connection,

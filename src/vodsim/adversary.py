@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -20,7 +19,7 @@ from .allocation import AllocationMap
 from .config import SystemConfig, frac
 from .model import SimEvent, SimState
 # select_static is not called here, but perfbench hooks it under this name
-from .scheduler import cache_capacity_ok, select_static  # noqa: F401
+from .scheduler import cache_acceptors, select_static  # noqa: F401
 
 ADVERSARY_KINDS = ("greedy", "random", "zipf", "trace", "stressless")
 
@@ -209,8 +208,7 @@ class GreedyAdversary(Adversary):
         # a cache t_S ahead serves every stripe of its video alike; a cache
         # box that holds a replica already counts above as a seed source
         for v in set(state.swarms) | set(state.idle_cache_by_video):
-            c = max((free[b] for b in state.cache_sources(v, 0)
-                     if b != requester and cache_capacity_ok(state, b)),
+            c = max((free[b] for b in cache_acceptors(state, v, 0, requester)),
                     default=0)
             best[v] = np.maximum(best[v], c)
         worst = best.min(axis=1)
@@ -279,11 +277,15 @@ class GrowthTracker:
                 if arrivals + 1 > self.v_s:
                     return (f"video {video}: {arrivals + 1} arrivals within "
                             f"the start-up window > v_S={self.v_s}")
+        p, q = self.mu.numerator, self.mu.denominator
         for t0, size0, cnt in self._windows(video, tick):
-            bound = (self.mu ** Fraction(tick - t0, self.t_s) - 1) * size0 \
-                if (tick - t0) % self.t_s == 0 \
-                else (float(self.mu) ** ((tick - t0) / self.t_s) - 1) * size0
-            if cnt + 1 > bound:
+            e, rem = divmod(tick - t0, self.t_s)
+            if rem == 0:  # exact: cnt + 1 > ((p/q)^e - 1) * size0, times q^e
+                over = (cnt + 1) * q ** e > (p ** e - q ** e) * size0
+            else:
+                growth = float(self.mu) ** ((tick - t0) / self.t_s) - 1
+                over = cnt + 1 > growth * size0
+            if over:
                 return (f"video {video}: swarm growth {size0 + cnt + 1} > "
                         f"{self.mu}*{size0} over {tick - t0} tick(s)")
         return None

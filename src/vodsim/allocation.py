@@ -1,17 +1,14 @@
-"""Replica placement: regular permutation and purely random schemes, plus the
-poor-box upload reservation reduction for heterogeneous systems."""
+"""Replica placement: regular permutation and purely random schemes."""
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .config import SystemConfig, frac
-from .model import StripeId
+from .config import SystemConfig
 
 
 class AllocationError(Exception):
@@ -35,21 +32,9 @@ class AllocationMap:
     k: int
     placement: np.ndarray  # int32, shape (m, s, k)
 
-    def replicas_of(self, stripe: StripeId) -> list[int]:
-        """The k holders of a stripe, in replica-index order."""
-        v, j = stripe
-        if not (0 <= v < self.m and 0 <= j < self.s):
-            raise KeyError(f"unknown stripe {stripe}")
-        return list(self.placement[v, j])
-
     def holders(self, video: int, stripe: int) -> np.ndarray:
+        """The k holders of a stripe, in replica order."""
         return self.placement[video, stripe]
-
-    def holdings_of(self, box: int) -> list[StripeId]:
-        """The stripes a box stores, one entry per replica (a box may hold
-        several replicas of the same stripe), by video, stripe, replica."""
-        vs, js, _ = np.nonzero(self.placement == box)
-        return [StripeId(v, j) for v, j in zip(vs.tolist(), js.tolist())]
 
     def dump(self) -> str:
         """Text table, one 'video,stripe,replica,box' line per replica."""
@@ -158,83 +143,3 @@ def allocate(cfg: SystemConfig, seed: int) -> AllocationMap:
         return allocate_regular(cfg, seed)
     return allocate_purely_random(cfg, seed)
 
-
-@dataclass
-class ReservationPlan:
-    """Rich-box upload slots statically reserved for poor boxes (upload < mu).
-
-    reserved[b] maps a poor box to [(rich box, slot count), ...] totalling
-    mu*s - u_b*s unit slots. extra_cache[r] is the additional cache space
-    (in videos) a rich box needs for the stripes it relays: s_r / (mu*s).
-    """
-
-    mu: Fraction
-    s: int
-    reserved: dict[int, list[tuple[int, int]]]
-    extra_cache: dict[int, Fraction]
-
-    @property
-    def total_reserved(self) -> int:
-        return sum(c for lst in self.reserved.values() for _, c in lst)
-
-    def residual_upload(self, cfg: SystemConfig, box: int) -> Fraction:
-        taken = sum(c for lst in self.reserved.values()
-                    for r, c in lst if r == box)
-        return cfg.upload[box] - Fraction(taken, self.s)
-
-
-def reserve_poor_capacity(cfg: SystemConfig) -> ReservationPlan:
-    """Assign each poor box (u_b < mu) its missing mu*s - u_b*s unit slots,
-    drawn from rich boxes proportionally to their surplus u_b - mu, so every
-    rich box keeps residual upload >= mu. Infeasible when u < mu."""
-    mu, s = cfg.mu, cfg.s
-    poor = [i for i in range(cfg.n) if cfg.upload[i] < mu]
-    rich = [i for i in range(cfg.n) if cfg.upload[i] > mu]
-    deficit = {i: int(mu * s - cfg.upload[i] * s) for i in poor}
-    surplus = {i: int(cfg.upload[i] * s - mu * s) for i in rich}
-    total_deficit = sum(deficit.values())
-    total_surplus = sum(surplus.values())
-    if total_deficit > total_surplus:
-        raise AllocationError(
-            f"reservation infeasible: deficit {total_deficit} slots > "
-            f"rich surplus {total_surplus} (requires u >= mu)")
-    if not poor:
-        return ReservationPlan(mu=mu, s=s, reserved={}, extra_cache={})
-
-    # Largest-remainder proportional split of the total deficit over surpluses.
-    take = {i: 0 for i in rich}
-    if total_deficit:
-        shares = {i: total_deficit * surplus[i] / total_surplus for i in rich}
-        take = {i: int(shares[i]) for i in rich}
-        leftover = total_deficit - sum(take.values())
-        by_fraction = sorted(rich, key=lambda i: (-(shares[i] - take[i]), i))
-        for i in by_fraction:
-            if leftover == 0:
-                break
-            if take[i] < surplus[i]:
-                take[i] += 1
-                leftover -= 1
-
-    reserved: dict[int, list[tuple[int, int]]] = {}
-    pool = [(i, take[i]) for i in sorted(rich, key=lambda i: (-surplus[i], i))
-            if take[i] > 0]
-    pi = 0
-    for b in poor:
-        need = deficit[b]
-        grants = []
-        while need > 0:
-            r, avail = pool[pi]
-            got = min(need, avail)
-            grants.append((r, got))
-            need -= got
-            if got == avail:
-                pi += 1
-            else:
-                pool[pi] = (r, avail - got)
-        reserved[b] = grants
-
-    extra_cache: dict[int, Fraction] = {}
-    for grants in reserved.values():
-        for r, c in grants:
-            extra_cache[r] = extra_cache.get(r, Fraction(0)) + Fraction(c, int(mu * s))
-    return ReservationPlan(mu=mu, s=s, reserved=reserved, extra_cache=extra_cache)

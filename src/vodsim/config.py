@@ -8,11 +8,9 @@ No floating point is used for capacity accounting.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-Rational = Fraction
 
 
 def frac(x) -> Fraction:
@@ -85,9 +83,6 @@ class SystemConfig:
     def bandwidth_ceiling(self) -> int:
         """Max concurrent full streams the total upload bandwidth supports."""
         return self.total_upload_slots // self.s
-
-    def with_overrides(self, **kw) -> "SystemConfig":
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -196,20 +191,6 @@ def shave_storage(n: int, d: Fraction, s: int, k: int, m: int) -> tuple[Fraction
         raise ValueError("catalog does not fit declared storage")
     slots = [base + 1] * extra + [base] * (n - extra)
     return tuple(Fraction(x, s) for x in slots)
-
-
-def proportional_storage(upload: Sequence[Fraction], d_avg, s: int) -> tuple[Fraction, ...]:
-    """Storage proportional to upload (d_i = (d/u) * u_i), slot-integral."""
-    upload = [frac(x) for x in upload]
-    d_avg = frac(d_avg)
-    u_avg = sum(upload, Fraction(0)) / len(upload)
-    out = []
-    for u_i in upload:
-        d_i = d_avg * u_i / u_avg
-        if (d_i * s).denominator != 1:
-            raise ValueError(f"proportional storage {d_i} not slot-integral at s={s}")
-        out.append(d_i)
-    return tuple(out)
 
 
 def gaussian_upload(n: int, mean, std: float, s: int, seed: int,

@@ -5,7 +5,9 @@ modes re-schedule on every event."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .allocation import AllocationMap
@@ -97,8 +99,7 @@ class Engine:
     sweeps)."""
 
     def __init__(self, cfg: SystemConfig, alloc: AllocationMap, mode: str,
-                 seed: int = 0, fanout: int = 3,
-                 offline: Iterable[int] = ()):
+                 seed: int = 0, offline: Iterable[int] = ()):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")
         self.cfg = cfg
@@ -110,8 +111,7 @@ class Engine:
         self.sched: Optional[DistributedScheduler] = None
         if mode == "dynamic-distributed":
             self.sched = DistributedScheduler(self.state, alloc,
-                                              random.Random(seed + 0x5EED),
-                                              fanout=fanout)
+                                              random.Random(seed + 0x5EED))
         for b in offline:
             self.state.active[b] = False
         self._stall_cause: dict[tuple[int, int, int], str] = {}
@@ -163,16 +163,11 @@ class Engine:
         for ups in list(self.state.uploads):
             for conn in list(ups):
                 self.state.sever_connection(conn)
-        by_session: dict[tuple[int, int], list[PlaybackSession]] = {}
-        for box in range(self.cfg.n):
-            for sess in self.state.sessions[box]:
-                by_session.setdefault((box, sess.video), []).append(sess)
-        cursor: dict[tuple[int, int, int], int] = {}
-        for down, up, stripe in result.entries:
-            sessions = by_session[(down, stripe.video)]
-            idx = cursor.get((down, stripe.video, stripe.stripe), 0)
-            cursor[(down, stripe.video, stripe.stripe)] = idx + 1
-            sess = sessions[idx % len(sessions)]
+        # entries follow build_request_graph's requests: every session of
+        # every box in turn, one request per stripe
+        sessions = (sess for box_sessions in self.state.sessions
+                    for sess in box_sessions for _ in range(self.cfg.s))
+        for (_, up, stripe), sess in zip(result.entries, sessions, strict=True):
             kind = (CACHE if self.state.cache_ahead(up, stripe.video, sess.position)
                     else SEED)
             self.state.install_connection(up, sess, stripe.stripe, kind)
@@ -231,6 +226,26 @@ class Engine:
         # static mode: connections are never re-negotiated
 
     # -- per-tick machinery ---------------------------------------------------
+
+    def step(self, events: Iterable[SimEvent] = (), adversary=None,
+             rate: int = 1) -> None:
+        """Run one tick: advance playback, tear expired and dried-up
+        connections, apply the tick's events, draw up to `rate` adversary
+        requests, retry sessions with missing stripes, and record the tick."""
+        self._advance_playback()
+        self._sweep_connections()
+        for ev in events:
+            self.apply(ev)
+        if adversary is not None:
+            for _ in range(rate):
+                box, video = adversary.next_request(self.state)
+                if box is None:
+                    break
+                self.issue_request(box, video)
+        self._retry_pending()
+        self._record_tick()
+        self._merge_sched_stats()
+        self.state.tick += 1
 
     def _advance_playback(self, completions: bool = True):
         for box in range(self.cfg.n):
@@ -335,37 +350,23 @@ class Engine:
             return
         stats = self.sched.stats
         self.metrics.seed_searches = stats.seed_searches
-        self.metrics.per_stripe_seed = dict(stats.per_stripe_seed)
-        self.metrics.reseeds = dict(stats.reseeds)
+        self.metrics.per_stripe_seed = stats.per_stripe_seed
+        self.metrics.reseeds = stats.reseeds
 
 
 def run(cfg: SystemConfig, alloc: AllocationMap, adversary, mode: str,
         seed: int, ticks: int = 0, events: Iterable[SimEvent] = (),
         rate: int = 1, offline: Iterable[int] = ()) -> tuple[Metrics, SimState]:
-    """Run the full loop: per tick, advance playback, fire scheduled events,
-    draw `rate` adversary requests, schedule, record metrics."""
+    """Run the full loop: one `Engine.step` per tick, each firing the events
+    scheduled up to that tick, until `ticks` and every event have passed."""
     eng = Engine(cfg, alloc, mode, seed=seed, offline=offline)
     pending = sorted(events, key=lambda e: e.time)
+    horizon = max(ticks, pending[-1].time + 1) if pending else ticks
     ei = 0
-    horizon = ticks
-    if pending:
-        horizon = max(horizon, pending[-1].time + 1)
     for _ in range(horizon):
-        eng._advance_playback()
-        eng._sweep_connections()
-        while ei < len(pending) and pending[ei].time <= eng.state.tick:
-            eng.apply(pending[ei])
-            ei += 1
-        if adversary is not None:
-            for _ in range(rate):
-                box, video = adversary.next_request(eng.state)
-                if box is None:
-                    break
-                eng.issue_request(box, video)
-        eng._retry_pending()
-        eng._record_tick()
-        eng.state.tick += 1
-    eng._merge_sched_stats()
+        due = bisect_right(pending, eng.state.tick, lo=ei, key=attrgetter("time"))
+        eng.step(pending[ei:due], adversary, rate)
+        ei = due
     return eng.metrics, eng.state
 
 
@@ -376,18 +377,14 @@ class SaturationResult:
     ceiling: int
     first_failure: Optional[tuple[int, int]]  # first refused (box, video)
 
-    def fraction_of_ceiling(self) -> float:
-        return self.satisfied / self.ceiling if self.ceiling else 0.0
-
 
 def saturation_probe(cfg: SystemConfig, alloc: AllocationMap, adversary,
-                     mode: str, seed: int, rate: int = 1,
-                     offline: Iterable[int] = (),
-                     patience: Optional[int] = None) -> SaturationResult:
+                     mode: str, seed: int,
+                     offline: Iterable[int] = ()) -> SaturationResult:
     """Count the maximum number of requests the system satisfies.
 
-    Requests keep arriving through refusals; the probe ends once the system
-    stops making progress (`patience` consecutive refusals, default n) or an
+    One request arrives per tick, through refusals; the probe ends once the
+    system stops making progress (n consecutive refusals) or an
     issued-budget guard runs out. It measures concurrent packing capacity:
     playback positions advance (cache-ahead checks stay meaningful) but
     videos do not complete during the probe, mirroring films much longer
@@ -395,29 +392,23 @@ def saturation_probe(cfg: SystemConfig, alloc: AllocationMap, adversary,
     floor(sum u_i*s)/s."""
     eng = Engine(cfg, alloc, mode, seed=seed, offline=offline)
     ceiling = cfg.bandwidth_ceiling()
-    patience = cfg.n if patience is None else patience
-    budget = 3 * ceiling + cfg.n + patience
+    budget = 3 * ceiling + 2 * cfg.n
     refusals_in_a_row = 0
     first_failure = None
-    while True:
+    while refusals_in_a_row < cfg.n and eng.metrics.issued < budget:
         eng._advance_playback(completions=False)
-        for _ in range(rate):
-            box, video = adversary.next_request(eng.state)
-            if box is None:
-                return SaturationResult(eng.metrics.satisfied,
-                                        eng.metrics.issued, ceiling,
-                                        first_failure)
-            if eng.issue_request(box, video):
-                refusals_in_a_row = 0
-            else:
-                refusals_in_a_row += 1
-                if first_failure is None:
-                    first_failure = (box, video)
-            if refusals_in_a_row >= patience or eng.metrics.issued >= budget:
-                return SaturationResult(eng.metrics.satisfied,
-                                        eng.metrics.issued, ceiling,
-                                        first_failure)
+        box, video = adversary.next_request(eng.state)
+        if box is None:
+            break
+        if eng.issue_request(box, video):
+            refusals_in_a_row = 0
+        else:
+            refusals_in_a_row += 1
+            if first_failure is None:
+                first_failure = (box, video)
         eng.state.tick += 1
+    return SaturationResult(eng.metrics.satisfied, eng.metrics.issued,
+                            ceiling, first_failure)
 
 
 def check_forest(state: SimState) -> tuple[bool, list[int]]:

@@ -236,7 +236,7 @@ def schedule_maxflow(state: SimState, alloc: AllocationMap):
         for r in range(net.num_requests):
             bi = res.request_to_box[r]
             entries.append((net.requesters[r], net.box_ids[bi], net.requests[r]))
-        return ConnectionAssignment(s=state.cfg.s, entries=entries)
+        return ConnectionAssignment(entries=entries)
     return _extract_obstruction(net, res)
 
 
@@ -302,23 +302,3 @@ def check_expander(net: FlowNetwork, b_per_box: Optional[list[int]] = None,
         return True, None
     return False, [r for r in range(R) if best >> r & 1]
 
-
-def dump_network(net: FlowNetwork, res: Optional[MaxFlowResult] = None) -> str:
-    """Debug text dump, one arc per line: 'from to capacity flow'."""
-    lines = []
-    for r in range(net.num_requests):
-        served = res is not None and res.request_to_box[r] >= 0
-        lines.append(f"source req{r} 1 {int(served) if res else 0}")
-    for r, arcs in enumerate(net.holder_arcs):
-        for bi in arcs:
-            flow = int(res is not None and res.request_to_box[r] == bi)
-            lines.append(f"req{r} box{net.box_ids[bi]} 1 {flow}")
-    used: dict[int, int] = {}
-    if res is not None:
-        for r in range(net.num_requests):
-            bi = res.request_to_box[r]
-            if bi >= 0:
-                used[bi] = used.get(bi, 0) + 1
-    for bi, b in enumerate(net.box_ids):
-        lines.append(f"box{b} sink {net.box_caps[bi]} {used.get(bi, 0)}")
-    return "\n".join(lines) + "\n"

@@ -8,7 +8,6 @@ from playback caches, seed-kind from allocation replicas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple, Optional, TYPE_CHECKING
 
 import numpy as np
@@ -60,14 +59,10 @@ class Connection:
 
 @dataclass
 class ConnectionAssignment:
-    """Snapshot of the links in force: (downloader, uploader, stripe, 1/s)."""
+    """Snapshot of the links in force, each carrying one stripe at rate 1/s:
+    (downloader, uploader, stripe)."""
 
-    s: int
     entries: list[tuple[int, int, StripeId]]
-
-    @property
-    def rate(self) -> Fraction:
-        return Fraction(1, self.s)
 
     def per_uploader(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -96,17 +91,6 @@ def parse_event(line: str) -> SimEvent:
     time, box, kind = int(parts[0]), int(parts[1]), parts[2]
     video = int(parts[3]) if len(parts) > 3 else None
     return SimEvent(time=time, box=box, kind=kind, video=video)
-
-
-@dataclass
-class BoxState:
-    """Inspection view of one box (activity, playback, cache, slot usage)."""
-
-    activity: str  # "active" | "failed"
-    playback: Optional[tuple[int, int]]  # (video, position) of first session
-    cache: Optional[int]  # video currently cached, if any
-    upload_slots: int
-    upload_used: int
 
 
 @dataclass(eq=False)
@@ -249,27 +233,12 @@ class SimState:
     def playing(self, box: int, video: int) -> bool:
         return any(sess.video == video for sess in self.sessions[box])
 
-    def box_state(self, i: int) -> BoxState:
-        pb = None
-        if self.sessions[i]:
-            s0 = self.sessions[i][0]
-            pb = (s0.video, s0.position)
-        cache = None
-        if self.sessions[i]:
-            cache = self.sessions[i][-1].video
-        elif self.idle_cache[i] is not None:
-            cache = self.idle_cache[i][0]
-        return BoxState(activity="active" if self.active[i] else "failed",
-                        playback=pb, cache=cache,
-                        upload_slots=int(self.slots[i]),
-                        upload_used=self.upload_used(i))
-
     def assignment(self) -> ConnectionAssignment:
         entries = []
         for ups in self.uploads:
             for c in ups:
                 entries.append((c.downloader, c.uploader, c.stripe))
-        return ConnectionAssignment(s=self.cfg.s, entries=entries)
+        return ConnectionAssignment(entries=entries)
 
 
 @dataclass

@@ -16,7 +16,8 @@ ahead of the requested position. That rule lives in one place,
 SimState.cache_ahead and SimState.cache_sources, which both schedulers, the
 flow tracker and the greedy adversary read.
 One upload slot per box is never granted to cache traffic: it stays
-reserved for serving allocation replicas.
+reserved for serving allocation replicas. cache_acceptors applies both rules,
+for the static selector and the greedy adversary.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from typing import Optional
 from .allocation import AllocationMap
 from .model import (CACHE, SEED, Connection, PlaybackSession, SimState,
                     StripeId)
+
+FANOUT = 3  # boxes a distributed search probes at once
 
 
 @dataclass
@@ -72,6 +75,15 @@ def gate_open(state: SimState, stripe: StripeId) -> bool:
 def cache_capacity_ok(state: SimState, x: int) -> bool:
     # one slot per box is reserved for allocation-replica uploads
     return state.free[x] > 0 and state.cache_up[x] + 1 <= state.slots[x] - 1
+
+
+def cache_acceptors(state: SimState, video: int, position: int,
+                    requester: int) -> list[int]:
+    """Boxes that can take a new cache upload of video for a requester at
+    position right now: the cache sources other than the requester that
+    have a free slot besides the reserved one, in ascending box id."""
+    return [b for b in state.cache_sources(video, position)
+            if b != requester and cache_capacity_ok(state, b)]
 
 
 def _parent_of(state: SimState, x: int, video: int, j: int) -> Optional[int]:
@@ -167,12 +179,9 @@ def static_candidates(state: SimState, alloc: AllocationMap, requester: int,
         if b == requester or not state.active[b] or state.free[b] <= 0:
             continue
         bybox[b] = (-int(state.free[b]), state.load_for_video(b, video), b, SEED)
-    for b in state.cache_sources(video, position):
-        if b in bybox or b == requester:
-            continue
-        if not cache_capacity_ok(state, b):
-            continue
-        bybox[b] = (-int(state.free[b]), state.load_for_video(b, video), b, CACHE)
+    for b in cache_acceptors(state, video, position, requester):
+        if b not in bybox:
+            bybox[b] = (-int(state.free[b]), state.load_for_video(b, video), b, CACHE)
     return sorted(bybox.values())
 
 
@@ -242,25 +251,13 @@ class DistributedScheduler:
     displaced downloaders re-probed via connection flipping within the same
     tick."""
 
-    def __init__(self, state: SimState, alloc: AllocationMap, rng: random.Random,
-                 fanout: int = 3, trace: bool = False):
+    def __init__(self, state: SimState, alloc: AllocationMap, rng: random.Random):
         self.state = state
         self.alloc = alloc
         self.rng = rng
-        self.fanout = fanout
         self.stats = SearchStats()
-        # per-decision debug log: (requester, stripe, probed box, step, accept)
-        self.trace: Optional[list[tuple[int, StripeId, int, int, bool]]] = \
-            [] if trace else None
         # (session, stripe_j, flip_target or None, seed_only)
         self.pending: list[tuple[PlaybackSession, int, Optional[int], bool]] = []
-
-    def _grant(self, box: int, req: ConnectionRequest) -> GrantDecision:
-        decision = grant_connection(box, req, self.state, self.rng)
-        if self.trace is not None:
-            self.trace.append((req.requester, req.stripe, box, decision.step,
-                               decision.accept))
-        return decision
 
     # -- candidate lists --
 
@@ -282,7 +279,7 @@ class DistributedScheduler:
     def search(self, session: PlaybackSession, j: int,
                seed_only: bool = False) -> Optional[Connection]:
         """Find and install an uploader for stripe j of the session. Probes
-        fanout candidates at a time, cache candidates first, allocation
+        FANOUT candidates at a time, cache candidates first, allocation
         holders only through the v_S gate; among acceptors the one with the
         least uploads for the video wins."""
         stripe = StripeId(session.video, j)
@@ -306,7 +303,7 @@ class DistributedScheduler:
         queue = candidates
         while i < len(queue):
             batch = []
-            while i < len(queue) and len(batch) < self.fanout:
+            while i < len(queue) and len(batch) < FANOUT:
                 b, kind = queue[i]
                 i += 1
                 if b in seen:
@@ -320,7 +317,7 @@ class DistributedScheduler:
             for b, kind in batch:
                 req = ConnectionRequest(requester=session.box, stripe=stripe,
                                         position=session.position, kind=kind)
-                decisions.append((b, kind, self._grant(b, req)))
+                decisions.append((b, kind, grant_connection(b, req, st, self.rng)))
             acceptors = [(b, kind, d) for b, kind, d in decisions if d.accept]
             if acceptors:
                 # least uploads for the video first; unlike the static
@@ -397,7 +394,7 @@ class DistributedScheduler:
         stripe = StripeId(session.video, j)
         req = ConnectionRequest(requester=session.box, stripe=stripe,
                                 position=session.position, kind=CACHE)
-        d = self._grant(box, req)
+        d = grant_connection(box, req, self.state, self.rng)
         if d.accept:
             return self._commit(session, j, box, CACHE, d)
         if d.flip_to is not None and d.flip_to != box:

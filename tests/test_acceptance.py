@@ -269,18 +269,13 @@ def test_criterion8_stressless_invariants():
     assert adv.validate_sequence(cfg, gen.events, swarms_per_video=1) == []
 
     eng = Engine(cfg, alloc, "dynamic-distributed", seed=3)
-    pending = sorted(gen.events, key=lambda e: e.time)
-    ei = 0
-    horizon = pending[-1].time + 20
+    by_tick: dict[int, list] = {}
+    for ev in gen.events:
+        by_tick.setdefault(ev.time, []).append(ev)
+    horizon = gen.events[-1].time + 20
     reserved_ok = forest_ok = True
-    for _ in range(horizon):
-        eng._advance_playback()
-        eng._sweep_connections()
-        while ei < len(pending) and pending[ei].time <= eng.state.tick:
-            eng.apply(pending[ei])
-            ei += 1
-        eng._retry_pending()
-        eng._record_tick()
+    for tick in range(horizon):
+        eng.step(by_tick.get(tick, ()))
         # (a) one slot per box is never taken by cache traffic
         if any(int(eng.state.cache_up[b]) > int(eng.state.slots[b]) - 1
                for b in range(n)):
@@ -288,8 +283,6 @@ def test_criterion8_stressless_invariants():
         # (b) cache connections always form a forest
         if not check_forest(eng.state)[0]:
             forest_ok = False
-        eng.state.tick += 1
-    eng._merge_sched_stats()
     metrics = eng.metrics
 
     bound = 10 * math.log(n)  # C' = 10, regression-tracked

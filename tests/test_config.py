@@ -5,8 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from vodsim.config import (SystemConfig, dump_config, errors_of, frac,
                            gaussian_upload, homogeneous_config, parse_config,
-                           proportional_storage, shave_storage,
-                           validate_config)
+                           shave_storage, validate_config)
 
 
 def test_frac_parsing():
@@ -63,12 +62,6 @@ def test_shave_storage_sums_exactly():
     storage = shave_storage(n=100, d=Fraction(32), s=15, k=6, m=533)
     assert sum(int(d * 15) for d in storage) == 6 * 533 * 15
     assert max(storage) - min(storage) <= Fraction(1, 15)
-
-
-def test_proportional_storage():
-    upload = (Fraction(2), Fraction(32, 15))
-    storage = proportional_storage(upload, Fraction(31), 15)
-    assert storage == (Fraction(30), Fraction(32))
 
 
 def test_gaussian_upload_preserves_mean_and_bounds():

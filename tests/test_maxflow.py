@@ -7,7 +7,7 @@ from helpers import (brute_force_min_cut, random_net, scipy_max_flow_value,
                      tiny_config)
 from vodsim.allocation import allocate_regular
 from vodsim.maxflow import (FlowNetwork, Infeasible, Unschedulable,
-                            build_request_graph, check_expander, dump_network,
+                            build_request_graph, check_expander,
                             max_flow, schedule_maxflow)
 from vodsim.model import ConnectionAssignment, PlaybackSession, SimState, StripeId
 
@@ -123,7 +123,7 @@ def test_request_graph_includes_only_ahead_caches():
     cfg = tiny_config(n=4, d=2, s=1, m=4, k=2, c=1, u=1)
     alloc = allocate_regular(cfg, 1)
     video = 0
-    holders = set(alloc.replicas_of(StripeId(video, 0)))
+    holders = set(alloc.holders(video, 0).tolist())
     behind, ahead = 2, 5  # requester at 2 needs sources at >= 2 + t_S
     others = [b for b in range(4) if b not in holders]
     state = playing_state(cfg, alloc, [
@@ -143,7 +143,7 @@ def test_zero_holder_stripe_is_unschedulable():
     cfg = tiny_config(n=2, d=1, s=1, m=2, k=1, c=1, u=1)
     alloc = allocate_regular(cfg, 0)
     video = 0
-    sole = alloc.replicas_of(StripeId(video, 0))[0]
+    sole = int(alloc.holders(video, 0)[0])
     state = playing_state(cfg, alloc, [(sole, video, 0)])
     with pytest.raises(Unschedulable):
         build_request_graph(state, alloc)
@@ -200,18 +200,6 @@ def test_scarce_upload_matches_expander_and_mincut():
     ok, witness = check_expander(net)
     assert not ok
     assert max_flow(net).value == brute_force_min_cut(net) == 4
-
-
-def test_dump_network_format():
-    net = net_of([[0], [0, 1]], caps=[1, 2])
-    res = max_flow(net)
-    text = dump_network(net, res)
-    lines = text.strip().splitlines()
-    assert len(lines) == net.num_requests + 3 + len(net.box_ids)
-    for line in lines:
-        parts = line.split()
-        assert len(parts) == 4
-        int(parts[2]), int(parts[3])
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 from helpers import tiny_config
 from vodsim.allocation import allocate_regular
@@ -52,8 +51,6 @@ def test_fail_severs_uploads_and_enqueues_reschedules():
     assert len(res.resched) == 3  # one per severed upload
     assert state.upload_used(0) == 0
     assert not state.active[0]
-    assert state.box_state(0).activity == "failed"
-    assert state.box_state(0).upload_used == 0
 
 
 def test_fail_on_failed_box_rejected():
@@ -126,6 +123,5 @@ def test_assignment_snapshot():
     state.install_connection(1, sess, 0, SEED)
     state.install_connection(2, sess, 1, SEED)
     asg = state.assignment()
-    assert asg.rate == Fraction(1, 2)
     assert sorted(asg.per_uploader()) == [1, 2]
     assert sum(down == 0 for down, _, _ in asg.entries) == 2
