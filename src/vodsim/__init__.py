@@ -13,7 +13,7 @@ from .scheduler import (ConnectionRequest, GrantDecision, grant_connection,
                         DistributedScheduler)
 from .adversary import (AdversarySpec, PopularityTrace, make_adversary,
                         generate_stressless, validate_sequence)
-from .engine import Metrics, run, saturation_probe, check_forest
+from .engine import Metrics, run, saturation_probe
 from .bounds import BoundReport, min_replication_k, feasibility_report
 
 __version__ = "0.1.0"

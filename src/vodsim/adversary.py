@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -28,7 +28,6 @@ ADVERSARY_KINDS = ("greedy", "random", "zipf", "trace", "stressless")
 class AdversarySpec:
     kind: str
     seed: int = 0
-    rate: int = 1  # requests per tick
     gamma: float = 2.0  # zipf exponent
     trace: Optional["PopularityTrace"] = None
     p_f: float = 0.1  # stress-less failure probability, must be < 1/v_S
@@ -140,25 +139,10 @@ class RandomAdversary(Adversary):
         return self.rng.randrange(self.cfg.m)
 
 
-class ZipfAdversary(Adversary):
-    """Video of rank r drawn with probability r^-gamma (rank 1 = video 0)."""
-
-    def __init__(self, cfg, spec, eligible=None):
-        super().__init__(cfg, spec, eligible)
-        weights = [(r + 1) ** -spec.gamma for r in range(cfg.m)]
-        total = sum(weights)
-        acc, self.cum = 0.0, []
-        for w in weights:
-            acc += w / total
-            self.cum.append(acc)
-
-    def pick_video(self, state, box):
-        x = self.rng.random()
-        return min(bisect_right(self.cum, x), self.cfg.m - 1)
-
-
 class TraceAdversary(Adversary):
-    """Draws from the popularity distribution of a trace file."""
+    """Draws from the popularity distribution of a trace file. It also serves
+    Zipf requests: make_adversary gives it the trace that weighs video v by
+    (v + 1)^-gamma, so video 0 has rank 1."""
 
     def __init__(self, cfg, spec, eligible=None):
         super().__init__(cfg, spec, eligible)
@@ -224,7 +208,8 @@ def make_adversary(cfg: SystemConfig, spec: AdversarySpec,
     if spec.kind == "random":
         return RandomAdversary(cfg, spec, eligible)
     if spec.kind == "zipf":
-        return ZipfAdversary(cfg, spec, eligible)
+        zipf = PopularityTrace([(v, (v + 1) ** -spec.gamma) for v in range(cfg.m)])
+        return TraceAdversary(cfg, replace(spec, trace=zipf), eligible)
     if spec.kind == "trace":
         return TraceAdversary(cfg, spec, eligible)
     if spec.kind == "greedy":

@@ -61,11 +61,6 @@ def load_allocation(text: str, mode: str = "regular") -> AllocationMap:
         placement[v, j, r] = b
     if (placement < 0).any():
         raise AllocationError("allocation table has missing replicas")
-    return _finish(mode, n, m, s, k, placement)
-
-
-def _finish(mode: str, n: int, m: int, s: int, k: int,
-            placement: np.ndarray) -> AllocationMap:
     return AllocationMap(mode=mode, n=n, m=m, s=s, k=k, placement=placement)
 
 
@@ -94,7 +89,8 @@ def allocate_regular(cfg: SystemConfig, seed: int) -> AllocationMap:
     rng.shuffle(perm)  # Fisher-Yates: exactly uniform over permutations
     boxes = owners[np.asarray(perm, dtype=np.int64)]
     placement = boxes.reshape(cfg.m, cfg.s, cfg.k).astype(np.int32)
-    return _finish("regular", cfg.n, cfg.m, cfg.s, cfg.k, placement)
+    return AllocationMap(mode="regular", n=cfg.n, m=cfg.m, s=cfg.s, k=cfg.k,
+                         placement=placement)
 
 
 def allocate_purely_random(cfg: SystemConfig, seed: int) -> AllocationMap:
@@ -135,7 +131,8 @@ def allocate_purely_random(cfg: SystemConfig, seed: int) -> AllocationMap:
                 placed += 1
                 if free[b] == 0:
                     cum, total_w = rebuild()
-    return _finish("purely_random", cfg.n, cfg.m, cfg.s, cfg.k, placement)
+    return AllocationMap(mode="purely_random", n=cfg.n, m=cfg.m, s=cfg.s,
+                         k=cfg.k, placement=placement)
 
 
 def allocate(cfg: SystemConfig, seed: int) -> AllocationMap:

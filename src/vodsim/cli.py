@@ -27,15 +27,9 @@ BASE_S = 15
 
 
 def config_for_k(k: int, n: int = BASE_N, d: int = BASE_D, s: int = BASE_S) -> SystemConfig:
-    """Replication sweep point: u = 1+1/s, m = floor(n*d/k), storage shaved
-    to fill every slot. The swarm-growth knob sits at the feasibility
-    boundary mu = u (the sweeps put no growth bound into play)."""
-    u = Fraction(s + 1, s)
-    return homogeneous_config(n=n, u=u, d=d, c=s, s=s, k=k, mu=u)
-
-
-def config_for_s(s: int, k: int = 10, n: int = BASE_N, d: int = BASE_D) -> SystemConfig:
-    """Striping sweep point: u = 1+1/s, m = n*d/k."""
+    """Replication and striping sweep point: u = 1+1/s, m = floor(n*d/k),
+    storage shaved to fill every slot. The swarm-growth knob sits at the
+    feasibility boundary mu = u (the sweeps put no growth bound into play)."""
     u = Fraction(s + 1, s)
     return homogeneous_config(n=n, u=u, d=d, c=s, s=s, k=k, mu=u)
 
@@ -43,11 +37,10 @@ def config_for_s(s: int, k: int = 10, n: int = BASE_N, d: int = BASE_D) -> Syste
 def config_hetero(variance: float, seed: int, k: int = 10, n: int = BASE_N,
                   d: int = BASE_D, s: int = BASE_S) -> SystemConfig:
     """Heterogeneity sweep point: per-box upload from a Gaussian with mean
-    1+1/s truncated to [1/s, 2+2/s], renormalized to preserve the mean
-    exactly; storage stays homogeneous."""
+    1+1/s truncated to the fixed bounds [1/s, 2+2/s] of gaussian_upload,
+    renormalized to preserve the mean exactly; storage stays homogeneous."""
     mean = Fraction(s + 1, s)
-    upload = gaussian_upload(n, mean, variance, s, seed,
-                             lo=Fraction(1, s), hi=2 * mean)
+    upload = gaussian_upload(n, mean, variance, s, seed)
     m = n * d // k
     storage = (Fraction(d),) * n
     return SystemConfig(n=n, upload=upload, storage=storage, c=s, s=s, k=k,
@@ -78,25 +71,21 @@ def probe_point(cfg: SystemConfig, adversary_kind: str, mode: str, seed: int,
 def _sweep_task(args):
     (name, value, seed, adversary_kind, mode, trace_entries, gamma) = args
     trace = adv.PopularityTrace(trace_entries) if trace_entries else None
+    off = []
     if name == "k-sweep":
         cfg = config_for_k(int(value))
-        res = probe_point(cfg, adversary_kind, mode, seed, trace=trace, gamma=gamma)
-        return value, seed, res.satisfied, res.ceiling, cfg.n
-    if name == "s-sweep":
-        cfg = config_for_s(int(value))
-        res = probe_point(cfg, adversary_kind, mode, seed, trace=trace, gamma=gamma)
-        return value, seed, res.satisfied, res.ceiling, cfg.n
-    if name == "hetero-sweep":
+    elif name == "s-sweep":
+        cfg = config_for_k(10, s=int(value))
+    elif name == "hetero-sweep":
         cfg = config_hetero(float(value), seed)
-        res = probe_point(cfg, adversary_kind, mode, seed, trace=trace, gamma=gamma)
-        return value, seed, res.satisfied, res.ceiling, cfg.n
-    if name == "failure-sweep":
+    elif name == "failure-sweep":
         cfg = config_for_k(10)
         off = offline_boxes(cfg, float(value), seed)
-        res = probe_point(cfg, adversary_kind, mode, seed, offline=off,
-                          trace=trace, gamma=gamma)
-        return value, seed, res.satisfied, res.ceiling, cfg.n - len(off)
-    raise ValueError(name)
+    else:
+        raise ValueError(name)
+    res = probe_point(cfg, adversary_kind, mode, seed, offline=off, trace=trace,
+                      gamma=gamma)
+    return value, seed, res.satisfied, res.ceiling, cfg.n - len(off)
 
 
 def default_values(name: str):

@@ -193,18 +193,17 @@ def shave_storage(n: int, d: Fraction, s: int, k: int, m: int) -> tuple[Fraction
     return tuple(Fraction(x, s) for x in slots)
 
 
-def gaussian_upload(n: int, mean, std: float, s: int, seed: int,
-                    lo=None, hi=None) -> tuple[Fraction, ...]:
+def gaussian_upload(n: int, mean, std: float, s: int,
+                    seed: int) -> tuple[Fraction, ...]:
     """Bounded-Gaussian per-box uploads, rounded to unit slots and repaired so
     the mean is preserved exactly.
 
-    Bounds default to [1/s, 2*mean] (symmetric about the mean) and the sample
-    is renormalized by moving single slots between boxes until the slot total
+    Bounds are [1/s, 2*mean] (symmetric about the mean) and the sample is
+    renormalized by moving single slots between boxes until the slot total
     equals n*mean*s.
     """
     mean = frac(mean)
-    lo = Fraction(1, s) if lo is None else frac(lo)
-    hi = 2 * mean if hi is None else frac(hi)
+    lo, hi = Fraction(1, s), 2 * mean
     target = mean * s * n
     if target.denominator != 1:
         raise ValueError("n*mean*s must be an integer")

@@ -20,8 +20,7 @@ from .config import SystemConfig
 MODES = ("static", "dynamic-distributed", "dynamic-maxflow")
 
 # stall causes considered uploader failures (vs scheduling artifacts)
-FAILURE_CAUSES = {"uploader_failed", "uploader_zapped", "uploader_stopped",
-                  "cache_dry"}
+FAILURE_CAUSES = {"uploader_failed", "uploader_zapped", "cache_dry"}
 
 
 @dataclass
@@ -140,9 +139,7 @@ class Engine:
             sess = self.sched.schedule_request(box, video)
             self._drain_scheduler()
         else:  # dynamic-maxflow: add the session, recompute the global flow
-            sess = PlaybackSession(box=box, video=video, start_tick=self.state.tick)
-            self.state.sessions[box].append(sess)
-            self.state.join_swarm(sess)
+            sess = self.state.open_session(box, video)
             self.state.clear_idle_cache(box)
             self._resolve_maxflow()
         ok = not sess.missing_stripes(self.cfg.s)
@@ -195,10 +192,9 @@ class Engine:
         res = apply_event(self.state, ev)
         if not res.applied:
             return res
-        cause = {"fail": "uploader_failed", "zap": "uploader_zapped",
-                 "stop": "uploader_stopped"}.get(ev.kind, "severed")
+        # only a fail severs the downloads of other boxes
         for sess, j in res.resched:
-            self._stall_cause[(sess.box, sess.video, j)] = cause
+            self._stall_cause[(sess.box, sess.video, j)] = "uploader_failed"
             self._repair(sess, j)
         if res.request is not None:
             self.issue_request(*res.request)
@@ -258,10 +254,7 @@ class Engine:
                     self._complete(sess)
 
     def _complete(self, sess: PlaybackSession):
-        for conn in list(sess.parents.values()):
-            self.state.sever_connection(conn)
-        self.state.leave_swarm(sess)
-        self.state.sessions[sess.box].remove(sess)
+        self.state.close_session(sess)
         if not self.state.sessions[sess.box]:
             self.state.set_idle_cache(sess.box, sess.video, self.cfg.video_duration)
 
@@ -409,36 +402,3 @@ def saturation_probe(cfg: SystemConfig, alloc: AllocationMap, adversary,
         eng.state.tick += 1
     return SaturationResult(eng.metrics.satisfied, eng.metrics.issued,
                             ceiling, first_failure)
-
-
-def check_forest(state: SimState) -> tuple[bool, list[int]]:
-    """Cache connections inside each swarm must form a forest rooted at
-    allocation-fed boxes (no cycles). Returns (ok, offending videos)."""
-    bad: list[int] = []
-    videos = {c.stripe.video
-              for ups in state.uploads for c in ups if c.kind == CACHE}
-    for v in videos:
-        edges: dict[tuple[int, int], list[int]] = {}
-        for ups in state.uploads:
-            for c in ups:
-                if c.kind == CACHE and c.stripe.video == v:
-                    edges.setdefault((c.uploader, c.stripe.stripe), []).append(
-                        c.session.box)
-        for j in {j for (_, j) in edges}:
-            graph = {up: downs for (up, jj), downs in edges.items() if jj == j}
-            color: dict[int, int] = {}
-
-            def dfs(u: int) -> bool:
-                color[u] = 1
-                for w in graph.get(u, ()):
-                    if color.get(w) == 1:
-                        return False
-                    if color.get(w, 0) == 0 and not dfs(w):
-                        return False
-                color[u] = 2
-                return True
-
-            if not all(dfs(u) for u in list(graph) if color.get(u, 0) == 0):
-                bad.append(v)
-                break
-    return (not bad), bad

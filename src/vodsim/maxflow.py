@@ -15,6 +15,8 @@ from typing import Optional
 from .allocation import AllocationMap
 from .model import SimState, StripeId, ConnectionAssignment
 
+EXPANDER_GUARD = 20  # check_expander enumerates 2^R request subsets
+
 
 class Unschedulable(Exception):
     """A requested stripe has no holder at all."""
@@ -258,15 +260,13 @@ def _extract_obstruction(net: FlowNetwork, res: MaxFlowResult) -> Infeasible:
         witness_capacity=capacity)
 
 
-def check_expander(net: FlowNetwork, b_per_box: Optional[list[int]] = None,
-                   max_requests: int = 20):
+def check_expander(net: FlowNetwork):
     """Exhaustively verify that every request subset U' satisfies
     sum of holder capacities over N(U') >= |U'|. Returns (True, None) or
     (False, minimal violating subset as request indices)."""
     R = net.num_requests
-    if R > max_requests:
-        raise ValueError(f"request side {R} exceeds enumeration guard {max_requests}")
-    caps = net.box_caps if b_per_box is None else list(b_per_box)
+    if R > EXPANDER_GUARD:
+        raise ValueError(f"request side {R} exceeds enumeration guard {EXPANDER_GUARD}")
     masks = []
     for arcs in net.holder_arcs:
         m = 0
@@ -280,7 +280,7 @@ def check_expander(net: FlowNetwork, b_per_box: Optional[list[int]] = None,
         got = capsum_cache.get(mask)
         if got is None:
             low = mask & -mask
-            got = capsum(mask ^ low) + caps[low.bit_length() - 1]
+            got = capsum(mask ^ low) + net.box_caps[low.bit_length() - 1]
             capsum_cache[mask] = got
         return got
 

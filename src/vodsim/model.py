@@ -64,12 +64,6 @@ class ConnectionAssignment:
 
     entries: list[tuple[int, int, StripeId]]
 
-    def per_uploader(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for _, up, _ in self.entries:
-            out[up] = out.get(up, 0) + 1
-        return out
-
 
 @dataclass(frozen=True)
 class SimEvent:
@@ -158,9 +152,6 @@ class SimState:
         if conn.session.parents.get(conn.stripe.stripe) is conn:
             del conn.session.parents[conn.stripe.stripe]
 
-    def upload_used(self, box: int) -> int:
-        return int(self.slots[box] - self.free[box])
-
     def load_for_video(self, box: int, video: int) -> int:
         return self.video_load.get(video, {}).get(box, 0)
 
@@ -187,19 +178,31 @@ class SimState:
                     del self.idle_cache_by_video[ic[0]]
             self.idle_cache[box] = None
 
-    # -- swarm / cache views ----------------------------------------------
+    # -- sessions, swarms and cache views ----------------------------------
+
+    def open_session(self, box: int, video: int) -> PlaybackSession:
+        """Start a playback of video on box at the current tick, with no
+        stripe connected: it joins the box's sessions and the video's swarm."""
+        session = PlaybackSession(box=box, video=video, start_tick=self.tick)
+        self.sessions[box].append(session)
+        self.join_swarm(session)
+        return session
+
+    def close_session(self, session: PlaybackSession) -> None:
+        """End a playback: sever its downloads, then drop it from the video's
+        swarm and from the box's sessions."""
+        for conn in list(session.parents.values()):
+            self.sever_connection(conn)
+        members = self.swarms[session.video]
+        members.remove(session)
+        self.swarm_size[session.video] -= 1
+        if not members:
+            del self.swarms[session.video]
+        self.sessions[session.box].remove(session)
 
     def join_swarm(self, session: PlaybackSession) -> None:
         self.swarms.setdefault(session.video, []).append(session)
         self.swarm_size[session.video] += 1
-
-    def leave_swarm(self, session: PlaybackSession) -> None:
-        members = self.swarms.get(session.video, [])
-        if session in members:
-            members.remove(session)
-            self.swarm_size[session.video] -= 1
-            if not members:
-                del self.swarms[session.video]
 
     def cache_position(self, box: int, video: int) -> Optional[int]:
         """Best data position box can serve video from (playback or idle
@@ -233,13 +236,6 @@ class SimState:
     def playing(self, box: int, video: int) -> bool:
         return any(sess.video == video for sess in self.sessions[box])
 
-    def assignment(self) -> ConnectionAssignment:
-        entries = []
-        for ups in self.uploads:
-            for c in ups:
-                entries.append((c.downloader, c.uploader, c.stripe))
-        return ConnectionAssignment(entries=entries)
-
 
 @dataclass
 class EventResult:
@@ -252,18 +248,6 @@ class EventResult:
     reason: Optional[str] = None
     resched: list[tuple[PlaybackSession, int]] = field(default_factory=list)
     request: Optional[tuple[int, int]] = None  # (box, video) to schedule
-
-
-def _sever_downloads(state: SimState, session: PlaybackSession) -> None:
-    for conn in list(session.parents.values()):
-        state.sever_connection(conn)
-
-
-def _end_session(state: SimState, session: PlaybackSession) -> None:
-    _sever_downloads(state, session)
-    state.leave_swarm(session)
-    if session in state.sessions[session.box]:
-        state.sessions[session.box].remove(session)
 
 
 def _expire_cache_uploads(state: SimState, box: int, video: int, deadline: int) -> None:
@@ -289,7 +273,7 @@ def apply_event(state: SimState, ev: SimEvent) -> EventResult:
             res.resched.append((conn.session, conn.stripe.stripe))
             state.sever_connection(conn)
         for sess in list(state.sessions[b]):
-            _end_session(state, sess)
+            state.close_session(sess)
         state.clear_idle_cache(b)
         state.active[b] = False
         return res
@@ -303,11 +287,16 @@ def apply_event(state: SimState, ev: SimEvent) -> EventResult:
     if not state.active[b]:
         return EventResult(ev, False, reason=f"{ev.kind} on failed box")
 
+    if ev.kind in ("start", "zap"):
+        if ev.video is None:
+            return EventResult(ev, False, reason=f"{ev.kind} without video")
+        if not 0 <= ev.video < state.cfg.m:
+            return EventResult(ev, False,
+                               reason=f"{ev.kind} of unknown video {ev.video}")
+
     if ev.kind == "start":
         if state.sessions[b]:
             return EventResult(ev, False, reason="start on playing box (zap instead)")
-        if ev.video is None:
-            return EventResult(ev, False, reason="start without video")
         ic = state.idle_cache[b]
         if ic is not None and ic[0] != ev.video:
             _expire_cache_uploads(state, b, ic[0], ev.time + state.cfg.t_s)
@@ -318,10 +307,8 @@ def apply_event(state: SimState, ev: SimEvent) -> EventResult:
     if ev.kind == "zap":
         if not state.sessions[b]:
             return EventResult(ev, False, reason="zap on idle box")
-        if ev.video is None:
-            return EventResult(ev, False, reason="zap without video")
         old = state.sessions[b][0]
-        _end_session(state, old)
+        state.close_session(old)
         # The box keeps uploading the old video from its buffer/cache, but
         # only for up to t_S more ticks.
         _expire_cache_uploads(state, b, old.video, ev.time + state.cfg.t_s)
@@ -334,7 +321,7 @@ def apply_event(state: SimState, ev: SimEvent) -> EventResult:
             return EventResult(ev, False, reason="stop on idle box")
         old = state.sessions[b][0]
         pos = old.position
-        _end_session(state, old)
+        state.close_session(old)
         state.set_idle_cache(b, old.video, pos)
         return res
 

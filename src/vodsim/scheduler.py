@@ -161,7 +161,7 @@ def grant_connection(x: int, req: ConnectionRequest, state: SimState,
 
 
 def static_candidates(state: SimState, alloc: AllocationMap, requester: int,
-                      video: int, j: int, position: int = 0):
+                      video: int, j: int):
     """All boxes that could serve stripe j right now, as
     (-free, load_for_video, box, kind) sort keys: most free upload slots
     first, then fewest uploads of the video, then lowest box id. Ranking by
@@ -172,26 +172,27 @@ def static_candidates(state: SimState, alloc: AllocationMap, requester: int,
     allocation holder with free slots always serves (those rules exist to
     bound the distributed scheduler's search work, and connections are never
     re-negotiated here). A box holding the replica serves as a seed source;
-    cache service additionally needs the position margin and respects the
-    reserved slot."""
+    cache service respects the reserved slot and needs data t_S ahead of
+    position 0, where a static session always asks: it connects all stripes
+    before its playback starts."""
     bybox: dict[int, tuple] = {}
     for b in alloc.holders(video, j).tolist():
         if b == requester or not state.active[b] or state.free[b] <= 0:
             continue
         bybox[b] = (-int(state.free[b]), state.load_for_video(b, video), b, SEED)
-    for b in cache_acceptors(state, video, position, requester):
+    for b in cache_acceptors(state, video, 0, requester):
         if b not in bybox:
             bybox[b] = (-int(state.free[b]), state.load_for_video(b, video), b, CACHE)
     return sorted(bybox.values())
 
 
 def select_static(state: SimState, alloc: AllocationMap, requester: int,
-                  video: int, j: int, position: int = 0):
+                  video: int, j: int):
     """Uploader the static scheduler would pick for one stripe: the acceptor
     with the most free upload slots, spreading load by residual capacity;
     ties go to the fewest upload connections for the video, then the lowest
-    box id. None when no box can accept."""
-    cands = static_candidates(state, alloc, requester, video, j, position)
+    box id, for a session at position 0. None when no box can accept."""
+    cands = static_candidates(state, alloc, requester, video, j)
     if not cands:
         return None
     negfree, load, box, kind = cands[0]
@@ -206,20 +207,14 @@ def schedule_request_static(state: SimState, alloc: AllocationMap, box: int,
 
     The session registers as a swarm arrival before searching, so the v_S
     gate counts it; its own candidates exclude itself anyway."""
-    sess = PlaybackSession(box=box, video=video, start_tick=state.tick)
-    state.sessions[box].append(sess)
-    state.join_swarm(sess)
-    installed: list[Connection] = []
+    sess = state.open_session(box, video)
     for j in range(state.cfg.s):
-        choice = select_static(state, alloc, box, video, j, position=0)
+        choice = select_static(state, alloc, box, video, j)
         if choice is None:
-            for conn in installed:
-                state.sever_connection(conn)
-            state.leave_swarm(sess)
-            state.sessions[box].remove(sess)
+            state.close_session(sess)
             return None
         up, kind = choice
-        installed.append(state.install_connection(up, sess, j, kind))
+        state.install_connection(up, sess, j, kind)
     sess.started = True
     state.clear_idle_cache(box)
     return sess
@@ -406,9 +401,7 @@ class DistributedScheduler:
         """Start a playback: session joins the swarm, then all s stripes are
         searched. Missing stripes stay pending (retried by the engine);
         returns the session (started only if fully connected)."""
-        sess = PlaybackSession(box=box, video=video, start_tick=self.state.tick)
-        self.state.sessions[box].append(sess)
-        self.state.join_swarm(sess)
+        sess = self.state.open_session(box, video)
         self.state.clear_idle_cache(box)
         for j in range(self.state.cfg.s):
             self.search(sess, j)

@@ -9,6 +9,7 @@ import numpy as np
 
 from vodsim.config import SystemConfig, frac
 from vodsim.maxflow import FlowNetwork
+from vodsim.model import CACHE, ConnectionAssignment
 from vodsim.scheduler import select_static
 
 
@@ -65,6 +66,53 @@ def dry_run_scores(state, alloc, requester: int) -> np.ndarray:
         scores[v] = (-1 if any(p is None for p in picks)
                      else min(int(state.free[b]) for b, _ in picks))
     return scores
+
+
+def assignment(state) -> ConnectionAssignment:
+    """The links in force, as (downloader, uploader, stripe), by uploader."""
+    return ConnectionAssignment(entries=[(c.downloader, c.uploader, c.stripe)
+                                         for ups in state.uploads for c in ups])
+
+
+def per_uploader(asg: ConnectionAssignment) -> dict[int, int]:
+    """Number of links each uploader carries."""
+    out: dict[int, int] = {}
+    for _, up, _ in asg.entries:
+        out[up] = out.get(up, 0) + 1
+    return out
+
+
+def check_forest(state) -> tuple[bool, list[int]]:
+    """Cache connections inside each swarm must form a forest rooted at
+    allocation-fed boxes (no cycles). Returns (ok, offending videos)."""
+    bad: list[int] = []
+    videos = {c.stripe.video
+              for ups in state.uploads for c in ups if c.kind == CACHE}
+    for v in videos:
+        edges: dict[tuple[int, int], list[int]] = {}
+        for ups in state.uploads:
+            for c in ups:
+                if c.kind == CACHE and c.stripe.video == v:
+                    edges.setdefault((c.uploader, c.stripe.stripe), []).append(
+                        c.session.box)
+        for j in {j for (_, j) in edges}:
+            graph = {up: downs for (up, jj), downs in edges.items() if jj == j}
+            color: dict[int, int] = {}
+
+            def dfs(u: int) -> bool:
+                color[u] = 1
+                for w in graph.get(u, ()):
+                    if color.get(w) == 1:
+                        return False
+                    if color.get(w, 0) == 0 and not dfs(w):
+                        return False
+                color[u] = 2
+                return True
+
+            if not all(dfs(u) for u in list(graph) if color.get(u, 0) == 0):
+                bad.append(v)
+                break
+    return (not bad), bad
 
 
 def random_net(rng: random.Random, max_req: int = 12, max_box: int = 6,

@@ -10,13 +10,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import brute_force_min_cut, random_net, spearman
+from helpers import (brute_force_min_cut, check_forest, per_uploader,
+                     random_net, spearman)
 from vodsim import adversary as adv
-from vodsim.allocation import _finish, allocate_purely_random, allocate_regular
+from vodsim.allocation import (AllocationMap, allocate_purely_random,
+                               allocate_regular)
 from vodsim.bounds import feasibility_report, min_replication_k, realistic_replication_k
-from vodsim.cli import config_for_k, config_for_s, offline_boxes, probe_point
+from vodsim.cli import config_for_k, offline_boxes, probe_point
 from vodsim.config import SystemConfig, homogeneous_config
-from vodsim.engine import Engine, check_forest
+from vodsim.engine import Engine
 from vodsim.maxflow import (Infeasible, Unschedulable, build_request_graph,
                             check_expander, max_flow, schedule_maxflow)
 from vodsim.model import ConnectionAssignment, PlaybackSession, SimState
@@ -84,7 +86,7 @@ def test_criterion3_stripe_sweep_shape():
     means = []
     per_s = {}
     for s in range(1, 31):
-        cfg = config_for_s(s)
+        cfg = config_for_k(10, s=s)
         sats = [probe_point(cfg, "random", "static", sd).satisfied
                 for sd in SEEDS]
         per_s[s] = sats
@@ -147,7 +149,8 @@ def _random_tiny_state(rng):
         cfg = SystemConfig(n=n, upload=upload, storage=(Fraction(8),) * n,
                            c=s, s=s, k=k, m=m,
                            allocation_mode="purely_random")
-        alloc = _finish("purely_random", n, m, s, k, placement)
+        alloc = AllocationMap(mode="purely_random", n=n, m=m, s=s, k=k,
+                              placement=placement)
         state = SimState(cfg=cfg, alloc=alloc)
         boxes = rng.sample(range(n), playing)
         for box in boxes:
@@ -184,7 +187,7 @@ def test_criterion5_hall_maxflow_equivalence():
         mincut_mismatch += max_flow(net).value != brute_force_min_cut(net)
         checked += 1
         if scheduled:
-            per_up = result.per_uploader()
+            per_up = per_uploader(result)
             for up, cnt in per_up.items():
                 assert cnt <= state.slots[up]
     ok_all = disagreements == 0 and mincut_mismatch == 0
@@ -201,7 +204,8 @@ def test_criterion6_scarce_upload_obstruction():
                        storage=(Fraction(1),) * 5, c=1, s=1, k=1, m=5,
                        allocation_mode="purely_random")
     placement = np.array([[[0]], [[1]], [[2]], [[3]], [[4]]], dtype=np.int32)
-    alloc = _finish("purely_random", 5, 5, 1, 1, placement)
+    alloc = AllocationMap(mode="purely_random", n=5, m=5, s=1, k=1,
+                          placement=placement)
     state = SimState(cfg=cfg, alloc=alloc)
     chain = [(1, 0, 3), (2, 0, 2), (3, 0, 1), (4, 0, 0), (0, 1, 0)]
     for box, video, pos in chain:

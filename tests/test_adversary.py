@@ -9,7 +9,8 @@ import pytest
 from helpers import (chi_square_stat, dry_run_scores, tiny_config,
                      tiny_hetero_config)
 from vodsim import adversary as adv
-from vodsim.allocation import _finish, allocate_regular
+from vodsim.allocation import AllocationMap, allocate_regular
+from vodsim.cli import config_for_k
 from vodsim.config import SystemConfig
 from vodsim.model import SEED, PlaybackSession, SimEvent, SimState
 from vodsim.scheduler import select_static
@@ -27,7 +28,7 @@ class TestZipf:
         cfg = tiny_config(n=4, d=3, s=1, k=4, m=m, u=2)
         alloc, state = state_of(cfg)
         spec = adv.AdversarySpec(kind="zipf", seed=seed, gamma=gamma)
-        return adv.ZipfAdversary(cfg, spec), state
+        return adv.make_adversary(cfg, spec), state
 
     def test_rank_one_probability_exact(self):
         # m=3, gamma=2: P(rank 1) = 1/(1 + 1/4 + 1/9) = 36/49
@@ -40,6 +41,26 @@ class TestZipf:
         zipf, state = self.make(gamma=0.0)
         assert [round(c, 9) for c in zipf.cum] == [round(x, 9) for x in
                                                    (1 / 3, 2 / 3, 1.0)]
+
+    # sha256 of repr() of the first 500 (box, video) requests on
+    # config_for_k(10), recorded from the sampler Zipf had before it became
+    # a popularity trace
+    PICKS_SHA256 = {
+        (0.8, 0): "a31b837242456a4921a4726d2923b98d3c0da4ec33b3dff73af65409ef658fcb",
+        (0.8, 104729): "a3f9e4a91b1e392d2d3e045402ebba887d26a8fc78b734e24bd4fb32105deb52",
+        (2.0, 0): "b64fb8efbb50ea0eadaf9ee4a9bfc7050ecd527cec67d1fc41ca7676df48817b",
+        (2.0, 104729): "a858f5162470dcd8178c69c37f87f69fbbfd33829d37cb5bff47a21ac8c0a9f0",
+    }
+
+    @pytest.mark.parametrize("gamma,seed", sorted(PICKS_SHA256))
+    def test_picks_unchanged(self, gamma, seed):
+        cfg = config_for_k(10)
+        _, state = state_of(cfg)
+        zipf = adv.make_adversary(cfg, adv.AdversarySpec(kind="zipf", seed=seed,
+                                                         gamma=gamma))
+        picks = [zipf.next_request(state) for _ in range(500)]
+        digest = hashlib.sha256(repr(picks).encode()).hexdigest()
+        assert digest == self.PICKS_SHA256[(gamma, seed)]
 
     def test_empirical_rank_one_frequency(self):
         zipf, state = self.make(seed=3)
@@ -108,7 +129,8 @@ class TestGreedy:
                            c=1, s=1, k=1, m=2,
                            allocation_mode="purely_random")
         placement = np.array([[[0]], [[1]]], dtype=np.int32)
-        alloc = _finish("purely_random", 3, 2, 1, 1, placement)
+        alloc = AllocationMap(mode="purely_random", n=3, m=2, s=1, k=1,
+                              placement=placement)
         state = SimState(cfg=cfg, alloc=alloc)
         victim = PlaybackSession(box=2, video=0, start_tick=0)
         state.sessions[2].append(victim)

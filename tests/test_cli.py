@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from vodsim.allocation import load_allocation
-from vodsim.cli import (config_for_k, config_for_s, config_hetero, main,
-                        offline_boxes, run_sweep)
+from vodsim.cli import config_for_k, config_hetero, main, offline_boxes, run_sweep
 from vodsim.config import dump_config, validate_config, errors_of
 
 
@@ -18,7 +17,7 @@ def test_sweep_config_builders_are_valid():
     for k in (1, 3, 6, 7, 10, 20):
         assert errors_of(validate_config(config_for_k(k))) == []
     for s in (1, 2, 15, 30):
-        assert errors_of(validate_config(config_for_s(s))) == []
+        assert errors_of(validate_config(config_for_k(10, s=s))) == []
     for var in (0.0, 0.5, 1.0):
         cfg = config_hetero(var, seed=3)
         assert errors_of(validate_config(cfg)) == []

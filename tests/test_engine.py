@@ -3,12 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import tiny_config
+from helpers import assignment, check_forest, tiny_config
 from vodsim import adversary as adv
-from vodsim.allocation import _finish, allocate_regular
+from vodsim.allocation import AllocationMap, allocate_regular
 from vodsim.config import SystemConfig
-from vodsim.engine import (Engine, Metrics, check_forest, metrics_csv, run,
-                           saturation_probe)
+from vodsim.engine import Engine, Metrics, metrics_csv, run, saturation_probe
 from vodsim.model import CACHE, SimEvent
 
 
@@ -20,7 +19,8 @@ def handcrafted(n, upload, storage, placement, s=1, m=None, k=None, **kw):
                        storage=tuple(Fraction(d) for d in storage),
                        c=kw.pop("c", s), s=s, k=k, m=m,
                        allocation_mode="purely_random", **kw)
-    alloc = _finish("purely_random", n, m, s, k, placement)
+    alloc = AllocationMap(mode="purely_random", n=n, m=m, s=s, k=k,
+                          placement=placement)
     return cfg, alloc
 
 
@@ -44,7 +44,7 @@ def test_run_is_deterministic():
         assert metrics.satisfied + metrics.failed <= metrics.issued
         out.append((metrics.summary(),
                     [tuple(vars(r).values()) for r in metrics.per_tick],
-                    sorted(state.assignment().entries)))
+                    sorted(assignment(state).entries)))
     assert out[0] == out[1]
 
 

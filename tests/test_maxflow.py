@@ -3,9 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (brute_force_min_cut, random_net, scipy_max_flow_value,
-                     tiny_config)
-from vodsim.allocation import allocate_regular
+from helpers import (brute_force_min_cut, per_uploader, random_net,
+                     scipy_max_flow_value, tiny_config)
+from vodsim.allocation import AllocationMap, allocate_regular
 from vodsim.maxflow import (FlowNetwork, Infeasible, Unschedulable,
                             build_request_graph, check_expander,
                             max_flow, schedule_maxflow)
@@ -161,7 +161,7 @@ def test_schedule_maxflow_feasible_instance():
     # every playing box ends with s incoming stripe connections
     for box in (0, 1):
         assert sum(down == box for down, _, _ in result.entries) == cfg.s
-    for uploader, cnt in result.per_uploader().items():
+    for uploader, cnt in per_uploader(result).items():
         assert cnt <= cfg.upload_slots(uploader)
 
 
@@ -173,8 +173,7 @@ def scarce_upload_fixture():
     # place video 0 on box 0 only; video 1 on box 1; others arbitrary
     import numpy as np
     placement = np.array([[[0]], [[1]], [[2]], [[3]], [[4]]], dtype=np.int32)
-    from vodsim.allocation import _finish
-    alloc = _finish("regular", 5, 5, 1, 1, placement)
+    alloc = AllocationMap(mode="regular", n=5, m=5, s=1, k=1, placement=placement)
     state = playing_state(cfg, alloc, [
         (1, 0, 3),  # b1 plays v since long: cache ahead of everyone
         (2, 0, 2),

@@ -1,5 +1,6 @@
+import pytest
 
-from helpers import tiny_config
+from helpers import assignment, per_uploader, tiny_config
 from vodsim.allocation import allocate_regular
 from vodsim.model import (CACHE, SEED, PlaybackSession, SimEvent, SimState,
                           StripeId, apply_event, parse_event)
@@ -49,7 +50,7 @@ def test_fail_severs_uploads_and_enqueues_reschedules():
     res = apply_event(state, SimEvent(time=0, box=0, kind="fail"))
     assert res.applied
     assert len(res.resched) == 3  # one per severed upload
-    assert state.upload_used(0) == 0
+    assert state.free[0] == state.slots[0]  # no upload in use
     assert not state.active[0]
 
 
@@ -104,6 +105,18 @@ def test_start_on_playing_box_rejected():
     assert not res.applied
 
 
+@pytest.mark.parametrize("line", ["0,1,start,7", "0,1,start,-1",
+                                  "0,0,zap,4", "0,0,zap,-1"])
+def test_request_for_video_outside_catalog_rejected(line):
+    cfg, state = make_state(n=4, d=2, s=1, m=4, k=2, u=2, c=1)
+    play(state, 0, 0)
+    res = apply_event(state, parse_event(line))
+    assert not res.applied
+    assert "unknown video" in res.reason
+    assert res.request is None
+    assert [len(sessions) for sessions in state.sessions] == [1, 0, 0, 0]
+
+
 def test_event_serialization_roundtrip():
     for ev in (SimEvent(3, 1, "start", 5), SimEvent(4, 2, "fail")):
         assert parse_event(str(ev)) == ev
@@ -122,6 +135,6 @@ def test_assignment_snapshot():
     sess = play(state, 0, 0)
     state.install_connection(1, sess, 0, SEED)
     state.install_connection(2, sess, 1, SEED)
-    asg = state.assignment()
-    assert sorted(asg.per_uploader()) == [1, 2]
+    asg = assignment(state)
+    assert sorted(per_uploader(asg)) == [1, 2]
     assert sum(down == 0 for down, _, _ in asg.entries) == 2

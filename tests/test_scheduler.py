@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from vodsim.allocation import _finish, allocate_regular
+from vodsim.allocation import AllocationMap, allocate_regular
 from vodsim.config import SystemConfig
 from vodsim.engine import Engine
 from vodsim.model import (CACHE, SEED, PlaybackSession, SimEvent, SimState,
@@ -23,7 +23,8 @@ def handcrafted(n, upload, storage, placement, s=1, c=None, v_s=5, m=None, k=Non
                        storage=tuple(Fraction(d) for d in storage),
                        c=c or s, s=s, k=k, m=m, v_s=v_s,
                        allocation_mode="purely_random")
-    alloc = _finish("purely_random", n, m, s, k, placement)
+    alloc = AllocationMap(mode="purely_random", n=n, m=m, s=s, k=k,
+                          placement=placement)
     return cfg, SimState(cfg=cfg, alloc=alloc), alloc
 
 

@@ -10,7 +10,7 @@ from vodsim import adversary as adv
 from vodsim.allocation import allocate_purely_random
 from vodsim.engine import run
 
-from helpers import tiny_hetero_config
+from helpers import assignment, tiny_hetero_config
 
 
 # seed -> (metrics summary, sorted (downloader, uploader, video, stripe))
@@ -80,4 +80,4 @@ def test_tracker_replay_decisions_unchanged(seed):
     summary, entries = EXPECTED[seed]
     assert metrics.summary() == summary
     assert sorted((down, up, st.video, st.stripe)
-                  for down, up, st in state.assignment().entries) == entries
+                  for down, up, st in assignment(state).entries) == entries
