@@ -431,9 +431,10 @@ def generate_stressless(cfg: SystemConfig, spec: AdversarySpec,
 
 def validate_sequence(cfg: SystemConfig, seq: Sequence[SimEvent],
                       swarms_per_video: Optional[int] = None) -> list[str]:
-    """Replay a sequence against the model constraints: swarm growth bound,
-    active-ratio floor, legal transitions, and (when a bound is given) the
-    stress-less constant-swarms-per-video clause."""
+    """Replay a sequence, in the order given, against the model constraints:
+    time order, swarm growth bound, active-ratio floor, legal transitions,
+    and (when a bound is given) the stress-less constant-swarms-per-video
+    clause."""
     violations: list[str] = []
     tracker = GrowthTracker(cfg)
     playing: dict[int, int] = {}
@@ -441,7 +442,7 @@ def validate_sequence(cfg: SystemConfig, seq: Sequence[SimEvent],
     min_active = int(-(-(cfg.a * cfg.n) // 1))
     starts: dict[int, int] = {}
     last_time = None
-    for ev in sorted(seq, key=lambda e: e.time):
+    for ev in seq:
         if last_time is not None and ev.time < last_time:
             violations.append("events out of order")
         last_time = ev.time
@@ -508,13 +509,3 @@ def validate_sequence(cfg: SystemConfig, seq: Sequence[SimEvent],
 
 def dump_events(seq: Sequence[SimEvent]) -> str:
     return "\n".join(str(e) for e in seq) + "\n"
-
-
-def load_events(text: str) -> list[SimEvent]:
-    from .model import parse_event
-    out = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            out.append(parse_event(line))
-    return out

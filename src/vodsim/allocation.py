@@ -46,24 +46,6 @@ class AllocationMap:
         return "\n".join(lines) + "\n"
 
 
-def load_allocation(text: str, mode: str = "regular") -> AllocationMap:
-    rows = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            rows.append(tuple(int(x) for x in line.split(",")))
-    m = max(r[0] for r in rows) + 1
-    s = max(r[1] for r in rows) + 1
-    k = max(r[2] for r in rows) + 1
-    n = max(r[3] for r in rows) + 1
-    placement = np.full((m, s, k), -1, dtype=np.int32)
-    for v, j, r, b in rows:
-        placement[v, j, r] = b
-    if (placement < 0).any():
-        raise AllocationError("allocation table has missing replicas")
-    return AllocationMap(mode=mode, n=n, m=m, s=s, k=k, placement=placement)
-
-
 def _slot_owners(cfg: SystemConfig) -> np.ndarray:
     """Box id owning each storage slot (slots 0..d_0*s-1 are box 0's, etc.)."""
     owners = np.empty(cfg.total_storage_slots, dtype=np.int32)

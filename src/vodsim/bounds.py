@@ -1,11 +1,10 @@
 """Closed-form feasibility and capacity formulas, evaluated so experiment
 output can be annotated with theory lines. Asymptotic statements are labeled
-as such: they are not desk-scale predictions."""
+as such: they are not desk-scale predictions. The balance ratio u' is exact."""
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -49,8 +48,7 @@ class BoundReport:
     scarce_catalog_exponent: str  # catalog O(n^(1/2+eps)) when u <= 1
     k_min: Optional[int]  # replica lower bound, None when u <= 1
     k_realistic: Optional[int]
-    balance_ratio: Optional[Fraction]  # u' = d * min_E U_E/D_E
-    balance_exact: bool  # enumerated vs sampled subsets
+    balance_ratio: Optional[Fraction]  # u' = d * min_E U_E/D_E, exact
     flags: list[str]
 
     def as_kv(self) -> list[str]:
@@ -62,7 +60,6 @@ class BoundReport:
             f"k_min={self.k_min if self.k_min is not None else 'undefined (u<=1)'}",
             f"k_realistic={self.k_realistic if self.k_realistic is not None else 'undefined (u<=1)'}",
             f"balance_ratio={self.balance_ratio}",
-            f"balance_exact={'exact' if self.balance_exact else 'sampled'}",
         ]
         for fl in self.flags:
             rows.append(f"flag={fl}")
@@ -83,47 +80,19 @@ class BoundReport:
         if self.k_realistic is not None:
             lines.append(f"  distributed-regime k:     ~ (v_S/a)(u/(u-1))ln n = "
                          f"{self.k_realistic}  [constant C=1 is a knob, not from theory]")
-        lines.append(f"  balance ratio u':         {self.balance_ratio}"
-                     f" ({'exact' if self.balance_exact else 'sampled over 10^4 subsets'})")
+        lines.append(f"  balance ratio u':         {self.balance_ratio}")
         for fl in self.flags:
             lines.append(f"  flag: {fl}")
         return "\n".join(lines) + "\n"
 
 
-def balance_ratio(cfg: SystemConfig, samples: int = 10_000,
-                  seed: int = 0) -> tuple[Optional[Fraction], bool]:
-    """u' = d * min over box subsets E of U_E/D_E. Exact enumeration up to 12
-    boxes, random subset sampling beyond (reported as such)."""
-    d = cfg.avg_storage
-    n = cfg.n
-    best: Optional[Fraction] = None
-
-    def ratio(subset) -> Optional[Fraction]:
-        u_e = sum((cfg.upload[i] for i in subset), Fraction(0))
-        d_e = sum((cfg.storage[i] for i in subset), Fraction(0))
-        if d_e == 0:
-            return None
-        return u_e / d_e
-
-    if n <= 12:
-        for mask in range(1, 1 << n):
-            subset = [i for i in range(n) if mask >> i & 1]
-            r = ratio(subset)
-            if r is not None and (best is None or r < best):
-                best = r
-        return (d * best if best is not None else None), True
-    rng = random.Random(seed)
-    for i in range(n):  # singletons are the usual minimizers
-        r = ratio([i])
-        if r is not None and (best is None or r < best):
-            best = r
-    for _ in range(samples):
-        size = rng.randrange(1, n + 1)
-        subset = rng.sample(range(n), size)
-        r = ratio(subset)
-        if r is not None and (best is None or r < best):
-            best = r
-    return (d * best if best is not None else None), False
+def balance_ratio(cfg: SystemConfig) -> Optional[Fraction]:
+    """u' = d * min over box subsets E of U_E/D_E, exact. U_E/D_E is the mean
+    of the boxes' u_i/d_i weighted by d_i, so the minimum is at a single box:
+    u' = d * min over d_i > 0 of u_i/d_i (boxes with d_i = 0 only raise U_E,
+    since u_i >= 0). None when no box stores anything."""
+    ratios = [u / d for u, d in zip(cfg.upload, cfg.storage) if d > 0]
+    return cfg.avg_storage * min(ratios) if ratios else None
 
 
 def feasibility_report(cfg: SystemConfig, c_const: float = 1.0) -> BoundReport:
@@ -140,11 +109,10 @@ def feasibility_report(cfg: SystemConfig, c_const: float = 1.0) -> BoundReport:
     if u > 1:
         k_min = min_replication_k(u, cfg.avg_storage, max(2, cfg.s))
         k_real = realistic_replication_k(u, cfg.v_s, cfg.a, cfg.n, c_const)
-    ratio, exact = balance_ratio(cfg)
     return BoundReport(
         catalog_cap=cfg.a * cfg.avg_storage * cfg.n,
         upload_threshold=threshold,
         swarm_growth_threshold=max(Fraction(2), cfg.mu),
         scarce_catalog_exponent="O(n^(1/2+eps)) when u <= 1",
         k_min=k_min, k_realistic=k_real,
-        balance_ratio=ratio, balance_exact=exact, flags=flags)
+        balance_ratio=balance_ratio(cfg), flags=flags)

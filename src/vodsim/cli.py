@@ -5,6 +5,7 @@ sequence tooling. Emits plot-ready CSV; no figure rendering."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import statistics
 import sys
@@ -36,15 +37,13 @@ def config_for_k(k: int, n: int = BASE_N, d: int = BASE_D, s: int = BASE_S) -> S
 
 def config_hetero(variance: float, seed: int, k: int = 10, n: int = BASE_N,
                   d: int = BASE_D, s: int = BASE_S) -> SystemConfig:
-    """Heterogeneity sweep point: per-box upload from a Gaussian with mean
-    1+1/s truncated to the fixed bounds [1/s, 2+2/s] of gaussian_upload,
-    renormalized to preserve the mean exactly; storage stays homogeneous."""
-    mean = Fraction(s + 1, s)
-    upload = gaussian_upload(n, mean, variance, s, seed)
-    m = n * d // k
-    storage = (Fraction(d),) * n
-    return SystemConfig(n=n, upload=upload, storage=storage, c=s, s=s, k=k,
-                        m=m, mu=mean)
+    """Heterogeneity sweep point: config_for_k's system with per-box upload
+    from a Gaussian with mean 1+1/s truncated to the fixed bounds
+    [1/s, 2+2/s] of gaussian_upload, renormalized to preserve the mean
+    exactly; storage stays homogeneous (shaved as config_for_k shaves it)."""
+    return dataclasses.replace(
+        config_for_k(k, n=n, d=d, s=s),
+        upload=gaussian_upload(n, Fraction(s + 1, s), variance, s, seed))
 
 
 def offline_boxes(cfg: SystemConfig, fraction: float, seed: int) -> list[int]:
@@ -180,15 +179,21 @@ def _base_config(args) -> SystemConfig:
     return config_for_k(10)
 
 
+def _checked_config(args) -> SystemConfig | None:
+    """The run's config, or None after printing its errors to stderr."""
+    cfg = _base_config(args)
+    problems = errors_of(validate_config(cfg))
+    for p in problems:
+        print(p, file=sys.stderr)
+    return None if problems else cfg
+
+
 def cmd_experiment(args) -> int:
     if args.name not in EXPERIMENTS:
         print(f"unknown experiment {args.name!r}", file=sys.stderr)
         return 2
-    cfg = _base_config(args)
-    problems = errors_of(validate_config(cfg))
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
+    cfg = _checked_config(args)
+    if cfg is None:
         return 1
     trace = _load_trace(args, cfg)
     if args.name == "single":
@@ -207,7 +212,9 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    cfg = _base_config(args)
+    cfg = _checked_config(args)
+    if cfg is None:
+        return 1
     report = feasibility_report(cfg, c_const=args.c_const)
     if args.kv:
         print("\n".join(report.as_kv()))
@@ -217,11 +224,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_allocate(args) -> int:
-    cfg = _base_config(args)
-    problems = errors_of(validate_config(cfg))
-    if problems:
-        for p in problems:
-            print(p, file=sys.stderr)
+    cfg = _checked_config(args)
+    if cfg is None:
         return 1
     try:
         alloc = allocate(cfg, args.seed)
@@ -247,7 +251,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_stressless(args) -> int:
-    cfg = _base_config(args)
+    cfg = _checked_config(args)
+    if cfg is None:
+        return 1
     spec = adv.AdversarySpec(kind="stressless", seed=args.seed,
                              p_f=args.p_f, swarms_per_video=args.swarms_per_video)
     problems = spec.validate(cfg)

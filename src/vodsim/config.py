@@ -129,6 +129,8 @@ def validate_config(cfg: SystemConfig) -> list[Violation]:
     for i in range(cfg.n):
         if (cfg.upload[i] * cfg.s).denominator != 1:
             err(f"u_{i}*s = {cfg.upload[i] * cfg.s} not an integer")
+        if cfg.upload[i] < 0:
+            err(f"u_{i} = {cfg.upload[i]} is negative")
         if (cfg.storage[i] * cfg.s).denominator != 1 or cfg.storage[i] < 0:
             err(f"d_{i}*s = {cfg.storage[i] * cfg.s} not a non-negative integer")
     if out:

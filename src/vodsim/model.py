@@ -80,13 +80,6 @@ class SimEvent:
         return f"{self.time},{self.box},{self.kind}{tail}"
 
 
-def parse_event(line: str) -> SimEvent:
-    parts = line.strip().split(",")
-    time, box, kind = int(parts[0]), int(parts[1]), parts[2]
-    video = int(parts[3]) if len(parts) > 3 else None
-    return SimEvent(time=time, box=box, kind=kind, video=video)
-
-
 @dataclass(eq=False)
 class SimState:
     """Full simulation state; see module docstring for mutation rules."""

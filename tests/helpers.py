@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from vodsim.allocation import AllocationError, AllocationMap
 from vodsim.config import SystemConfig, frac
 from vodsim.maxflow import FlowNetwork
-from vodsim.model import CACHE, ConnectionAssignment
+from vodsim.model import CACHE, ConnectionAssignment, SimEvent
 from vodsim.scheduler import select_static
 
 
@@ -53,6 +54,60 @@ def scipy_max_flow_value(net: FlowNetwork) -> int:
     graph = csr_matrix((np.array(caps, dtype=np.int32), (rows, cols)),
                        shape=(sink + 1, sink + 1))
     return int(maximum_flow(graph, 0, sink).flow_value)
+
+
+def subset_balance_ratio(cfg: SystemConfig):
+    """Reference u' = d * min over every nonempty box subset E of U_E/D_E, by
+    enumerating all 2^n subsets (small n only); None when no subset stores
+    anything."""
+    n = cfg.n
+    best = None
+    for mask in range(1, 1 << n):
+        subset = [i for i in range(n) if mask >> i & 1]
+        d_e = sum((cfg.storage[i] for i in subset), Fraction(0))
+        if d_e == 0:
+            continue
+        r = sum((cfg.upload[i] for i in subset), Fraction(0)) / d_e
+        if best is None or r < best:
+            best = r
+    return cfg.avg_storage * best if best is not None else None
+
+
+def load_allocation(text: str, mode: str = "regular") -> AllocationMap:
+    """Read back an `AllocationMap.dump()` table."""
+    rows = []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            rows.append(tuple(int(x) for x in line.split(",")))
+    m = max(r[0] for r in rows) + 1
+    s = max(r[1] for r in rows) + 1
+    k = max(r[2] for r in rows) + 1
+    n = max(r[3] for r in rows) + 1
+    placement = np.full((m, s, k), -1, dtype=np.int32)
+    for v, j, r, b in rows:
+        placement[v, j, r] = b
+    if (placement < 0).any():
+        raise AllocationError("allocation table has missing replicas")
+    return AllocationMap(mode=mode, n=n, m=m, s=s, k=k, placement=placement)
+
+
+def parse_event(line: str) -> SimEvent:
+    """Read back one `str(SimEvent)` line."""
+    parts = line.strip().split(",")
+    time, box, kind = int(parts[0]), int(parts[1]), parts[2]
+    video = int(parts[3]) if len(parts) > 3 else None
+    return SimEvent(time=time, box=box, kind=kind, video=video)
+
+
+def load_events(text: str) -> list[SimEvent]:
+    """Read back a `dump_events` text."""
+    out = []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            out.append(parse_event(line))
+    return out
 
 
 def dry_run_scores(state, alloc, requester: int) -> np.ndarray:

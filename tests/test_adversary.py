@@ -6,8 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import (chi_square_stat, dry_run_scores, tiny_config,
-                     tiny_hetero_config)
+from helpers import (chi_square_stat, dry_run_scores, load_events,
+                     tiny_config, tiny_hetero_config)
 from vodsim import adversary as adv
 from vodsim.allocation import AllocationMap, allocate_regular
 from vodsim.cli import config_for_k
@@ -347,6 +347,11 @@ class TestGrowthValidation:
         assert any("illegal resurrect" in v for v in violations)
         assert any("illegal zap" in v for v in violations)
 
+    def test_events_out_of_order_flagged(self):
+        events = self.seq([(5, 0, "start", 0), (1, 1, "start", 1)])
+        assert "events out of order" in adv.validate_sequence(stress_cfg(),
+                                                              events)
+
     def test_swarms_per_video_clause(self):
         events = self.seq([(0, 0, "start", 0), (1, 0, "stop", None),
                            (5, 1, "start", 0)])
@@ -382,7 +387,7 @@ class TestStresslessGenerator:
         spec = adv.AdversarySpec(kind="stressless", seed=5, p_f=0.1)
         result = adv.generate_stressless(cfg, spec, 40)
         text = adv.dump_events(result.events)
-        assert adv.load_events(text) == result.events
+        assert load_events(text) == result.events
 
     def test_exhaustion_warns_with_prefix(self):
         cfg = stress_cfg(n=3, m=1)

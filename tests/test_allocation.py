@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import tiny_config
+from helpers import load_allocation, tiny_config
 from vodsim.allocation import (AllocationError, allocate_purely_random,
-                               allocate_regular, load_allocation)
+                               allocate_regular)
 from vodsim.config import SystemConfig, homogeneous_config
 
 

@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import tiny_config
+from helpers import subset_balance_ratio, tiny_config
 from vodsim.bounds import (balance_ratio, feasibility_report,
                            min_replication_k, realistic_replication_k)
+from vodsim.cli import config_for_k, config_hetero
 from vodsim.config import SystemConfig
 
 
@@ -63,18 +64,31 @@ def test_proportional_system_balance_is_exact_u():
     storage = tuple(2 * u for u in upload)  # d_i = (d/u) u_i
     cfg = SystemConfig(n=4, upload=upload, storage=storage, c=2, s=2, k=1,
                        m=8, allocation_mode="purely_random")
-    ratio, exact = balance_ratio(cfg)
-    assert exact
-    assert ratio == cfg.avg_upload  # u' = u in the proportional case
+    assert balance_ratio(cfg) == cfg.avg_upload  # u' = u in the proportional case
     report = feasibility_report(cfg)
     assert report.balance_ratio == cfg.avg_upload
 
 
-def test_balance_ratio_sampled_beyond_enumeration():
-    cfg = tiny_config(n=20, u=2, d=2, c=2, s=1, k=2, m=20)
-    ratio, exact = balance_ratio(cfg, samples=500)
-    assert not exact
-    assert ratio == cfg.avg_upload  # homogeneous: every subset gives u
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 10), s=st.integers(1, 3))
+def test_balance_ratio_matches_subset_enumeration(data, n, s):
+    slots = st.lists(st.integers(0, 6), min_size=n, max_size=n)
+    upload = [Fraction(x, s) for x in data.draw(slots)]
+    storage = [Fraction(x, s) for x in data.draw(slots)]
+    cfg = SystemConfig(n=n, upload=upload, storage=storage, c=s, s=s, k=1,
+                       m=1, allocation_mode="purely_random")
+    assert balance_ratio(cfg) == subset_balance_ratio(cfg)
+
+
+# u' of systems too large for the enumeration reference: a homogeneous one
+# (every subset gives u) and the k- and hetero-sweep base systems at n=100.
+@pytest.mark.parametrize("cfg,expected", [
+    (tiny_config(n=20, u=2, d=2, c=2, s=1, k=2, m=20), Fraction(2)),
+    (config_for_k(10), Fraction(16, 15)),
+    (config_hetero(1.0, 0), Fraction(2, 15)),
+], ids=["homogeneous-n20", "config_for_k-10", "config_hetero-1.0-0"])
+def test_balance_ratio_reference_values(cfg, expected):
+    assert balance_ratio(cfg) == expected
 
 
 def test_report_renders_both_formats():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vodsim.allocation import load_allocation
+from helpers import load_allocation, load_events
 from vodsim.cli import config_for_k, config_hetero, main, offline_boxes, run_sweep
 from vodsim.config import dump_config, validate_config, errors_of
 
@@ -19,9 +19,10 @@ def test_sweep_config_builders_are_valid():
     for s in (1, 2, 15, 30):
         assert errors_of(validate_config(config_for_k(10, s=s))) == []
     for var in (0.0, 0.5, 1.0):
-        cfg = config_hetero(var, seed=3)
-        assert errors_of(validate_config(cfg)) == []
-        assert cfg.total_upload_slots == 100 * 16
+        for k in (3, 10):
+            cfg = config_hetero(var, seed=3, k=k)
+            assert errors_of(validate_config(cfg)) == []
+            assert cfg.total_upload_slots == 100 * 16
 
 
 def test_offline_sample_is_fixed_per_seed():
@@ -47,6 +48,16 @@ def test_bounds_command(cfg_file, capsys):
     assert any(line.startswith("k_min=") for line in out.splitlines())
 
 
+def test_bounds_command_rejects_negative_upload(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("n=2\nu=-1,3\nd=0,2\nc=1\ns=1\nk=1\nm=1\n"
+                   "allocation_mode=purely_random\n")
+    assert main(["bounds", "--config", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert "u_0 = -1 is negative" in captured.err
+    assert "balance ratio" not in captured.out
+
+
 def test_allocate_command_roundtrip(tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("n=4\nu=1\nd=2\nc=1\ns=1\nk=2\nm=4\n")
@@ -68,7 +79,6 @@ def test_stressless_command(tmp_path, capsys):
     rc = main(["stressless", "--config", str(cfg), "--events", "30",
                "--seed", "2", "--p-f", "0.2", "--output", str(out_path)])
     assert rc == 0
-    from vodsim.adversary import load_events
     events = load_events(out_path.read_text())
     assert events
 

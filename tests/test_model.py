@@ -1,9 +1,9 @@
 import pytest
 
-from helpers import assignment, per_uploader, tiny_config
+from helpers import assignment, parse_event, per_uploader, tiny_config
 from vodsim.allocation import allocate_regular
 from vodsim.model import (CACHE, SEED, PlaybackSession, SimEvent, SimState,
-                          StripeId, apply_event, parse_event)
+                          StripeId, apply_event)
 
 
 def make_state(**kw):
