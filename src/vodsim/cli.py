@@ -192,6 +192,10 @@ def cmd_experiment(args) -> int:
     if args.name not in EXPERIMENTS:
         print(f"unknown experiment {args.name!r}", file=sys.stderr)
         return 2
+    if args.config and args.name != "single":
+        print(f"{args.name} runs on the n=100 baseline and takes no --config; "
+              "only single runs on a config file", file=sys.stderr)
+        return 2
     cfg = _checked_config(args)
     if cfg is None:
         return 1
@@ -285,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("experiment", help="run a sweep or a single simulation")
     ex.add_argument("--name", required=True, choices=EXPERIMENTS)
-    ex.add_argument("--config", help="config file (defaults to the n=100 baseline)")
+    ex.add_argument("--config", help="single: config file (defaults to the "
+                    "n=100 baseline); sweeps always use the baseline")
     ex.add_argument("--adversary", default="random",
                     choices=("random", "zipf", "greedy", "trace"))
     ex.add_argument("--mode", default="static",

@@ -150,25 +150,36 @@ class Engine:
             self._pending_startup.append([sess, False])
         return ok
 
-    def _resolve_maxflow(self) -> bool:
-        """Recompute connections from scratch with the centralized tracker."""
+    def _resolve_maxflow(self):
+        """Re-solve the centralized tracker from the connections now
+        installed: schedule_maxflow augments their flow to a maximum one. A
+        partial maximum (an Infeasible, counted in infeasible_events) is
+        installed all the same. Only the connections whose request moved
+        are severed, and only the new links are installed, each of the kind
+        the cache-ahead rule gives it. Returns the tracker's result."""
         result = schedule_maxflow(self.state, self.alloc)
         if isinstance(result, Infeasible):
             self.metrics.infeasible_events += 1
-            return False
-        # replace the whole connection table by the flow decode
-        for ups in list(self.state.uploads):
-            for conn in list(ups):
-                self.state.sever_connection(conn)
+        st = self.state
         # entries follow build_request_graph's requests: every session of
         # every box in turn, one request per stripe
-        sessions = (sess for box_sessions in self.state.sessions
-                    for sess in box_sessions for _ in range(self.cfg.s))
-        for (_, up, stripe), sess in zip(result.entries, sessions, strict=True):
-            kind = (CACHE if self.state.cache_ahead(up, stripe.video, sess.position)
-                    else SEED)
-            self.state.install_connection(up, sess, stripe.stripe, kind)
-        return True
+        requests = ((sess, j) for box_sessions in st.sessions
+                    for sess in box_sessions for j in range(self.cfg.s))
+        new = []
+        for (_, up, _), kept, (sess, j) in zip(result.entries, result.kept,
+                                               requests, strict=True):
+            if kept:
+                continue
+            conn = sess.parents.get(j)
+            if conn is not None:
+                st.sever_connection(conn)
+            if up >= 0:
+                new.append((up, sess, j))
+        # every severed slot is free before the new links take theirs
+        for up, sess, j in new:
+            kind = CACHE if st.cache_ahead(up, sess.video, sess.position) else SEED
+            st.install_connection(up, sess, j, kind)
+        return result
 
     def _drain_scheduler(self):
         failures = self.sched.drain()
@@ -217,7 +228,8 @@ class Engine:
             self._drain_scheduler()
         elif self.mode == "dynamic-maxflow":
             self.metrics.retries += 1
-            if not self._resolve_maxflow():
+            self._resolve_maxflow()
+            if j not in sess.parents:
                 self._record_stall_if_playing(sess, j)
         # static mode: connections are never re-negotiated
 

@@ -2,10 +2,17 @@
 and the exhaustive expander (Hall condition) verifier for desk-scale nets.
 
 build_request_graph takes each session's cache holders from
-SimState.cache_sources once and reuses them for all its stripes.
+SimState.cache_sources once and reuses them for all its stripes, and
+records which installed connections can seed the flow. A request whose
+stripe has no holder gets no arcs.
 max_flow runs Dinic's algorithm on the implicit residual graph of the
 unit-demand network: the flow is each request's assigned box and each box's
-load, and the residual arcs follow from those, so no edge list is built."""
+load, and the residual arcs follow from those, so no edge list is built.
+It starts from the seeded flow and augments it to a maximum one. An
+augmenting path never returns to the source, so a request served by the
+seed stays served, though perhaps by another box. The maximum may be
+partial: schedule_maxflow then returns an Infeasible that carries the
+partial assignment along with its min-cut witness."""
 
 from __future__ import annotations
 
@@ -13,29 +20,25 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .allocation import AllocationMap
-from .model import SimState, StripeId, ConnectionAssignment
+from .model import CACHE, SEED, SimState, StripeId, ConnectionAssignment
 
 EXPANDER_GUARD = 20  # check_expander enumerates 2^R request subsets
-
-
-class Unschedulable(Exception):
-    """A requested stripe has no holder at all."""
-
-    def __init__(self, stripe: StripeId):
-        super().__init__(f"stripe {stripe} has no holder")
-        self.stripe = stripe
 
 
 @dataclass
 class FlowNetwork:
     """Source -> requests (cap 1) -> holder boxes (cap 1 arcs) -> sink
-    (cap u_i*s). holder_arcs[r] lists distinct indices into box_ids."""
+    (cap u_i*s). holder_arcs[r] lists distinct indices into box_ids.
+    installed[r] is the index of the box whose installed connection seeds
+    request r's flow, -1 for none; None seeds nothing. Seeds lie on holder
+    arcs and load no box beyond its capacity."""
 
     requests: list[Optional[StripeId]]
     requesters: list[int]  # box issuing each request, -1 for synthetic nets
     box_ids: list[int]
     box_caps: list[int]
     holder_arcs: list[list[int]]
+    installed: Optional[list[int]] = None
 
     @property
     def num_requests(self) -> int:
@@ -55,20 +58,26 @@ class MaxFlowResult:
 
 @dataclass
 class Infeasible:
-    """Scheduling obstruction: a request multiset whose holders cannot cover
-    it (when extractable from the min cut)."""
+    """Scheduling obstruction: the maximum flow leaves some request unserved.
+    The witness is the min cut's source side, a request multiset whose
+    holders' capacity is below its size (a Hall violation). entries and
+    kept are the maximum partial flow, as in ConnectionAssignment; an
+    unserved request's uploader is -1."""
 
     total_requests: int
     flow_value: int
-    witness_requests: Optional[list[int]] = None
-    witness_stripes: Optional[list[StripeId]] = None
-    witness_boxes: Optional[list[int]] = None
-    witness_capacity: Optional[int] = None
+    witness_requests: list[int]
+    witness_stripes: list[StripeId]
+    witness_boxes: list[int]
+    witness_capacity: int
+    entries: list[tuple[int, int, StripeId]]
+    kept: list[bool]
 
 
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
     """Exact integral max flow via Dinic's algorithm on the implicit residual
-    graph.
+    graph, augmenting from the seed in net.installed. The value counts the
+    seeded units too.
 
     Every request carries one unit, so the flow is held as assigned[r] (the
     box index serving request r, or -1) and load[b]. Residual arcs:
@@ -84,8 +93,11 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
     R, B = net.num_requests, len(net.box_ids)
     arcs = net.holder_arcs
     caps = net.box_caps
-    assigned = [-1] * R
+    assigned = list(net.installed) if net.installed is not None else [-1] * R
     load = [0] * B
+    for b in assigned:
+        if b >= 0:
+            load[b] += 1
 
     lev_r: list[int] = []
     lev_b: list[int] = []
@@ -162,7 +174,7 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
         it_b[b] = i
         return False
 
-    value = 0
+    value = R - assigned.count(-1)
     while (sink_level := bfs()) >= 0:
         it_r = [0] * R
         it_b = [0] * B
@@ -182,12 +194,17 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
 def build_request_graph(state: SimState, alloc: AllocationMap) -> FlowNetwork:
     """One request node per stripe of every playing session; holders are the
     active allocation replicas plus playback caches sufficiently ahead of the
-    requester (SimState.cache_sources). A box never holds for itself.
+    requester (SimState.cache_sources). A box never holds for itself, and a
+    stripe with no holder gives a request with no arcs.
 
     A session's cache holders are found once for all its stripes. A
     request's holder set takes its seed replicas in replica order, then its
     cache holders by ascending box id; box_ids numbers boxes in the order
-    the sets iterate."""
+    the sets iterate.
+
+    A request's installed connection seeds the flow when it is not in zap
+    grace, its uploader is still a holder, and its kind is the one a new
+    connection would get (CACHE from a cache source, else SEED)."""
     cfg = state.cfg
     active = state.active
     live = list(active)  # the requester's own entry is cleared in turn
@@ -196,16 +213,16 @@ def build_request_graph(state: SimState, alloc: AllocationMap) -> FlowNetwork:
     requesters: list[int] = []
     box_index: dict[int, int] = {}
     holder_arcs: list[list[int]] = []
+    installed: list[int] = []
     for box in range(cfg.n):
         live[box] = False
         for sess in state.sessions[box]:
             v = sess.video
             ahead = [b for b in state.cache_sources(v, sess.position) if b != box]
+            parents = sess.parents
             for j, row in enumerate(alloc.placement[v].tolist()):
                 holders = set(filter(live.__getitem__, row))
                 holders.update(ahead)
-                if not holders:
-                    raise Unschedulable(StripeId(v, j))
                 if not box_index.keys() >= holders:
                     for b in holders:
                         if b not in box_index:
@@ -213,51 +230,53 @@ def build_request_graph(state: SimState, alloc: AllocationMap) -> FlowNetwork:
                 requests.append(StripeId(v, j))
                 requesters.append(box)
                 holder_arcs.append(sorted(map(box_index.__getitem__, holders)))
+                conn = parents.get(j)
+                seed = -1
+                if conn is not None and conn.expires_at is None:
+                    up = conn.uploader
+                    if (up in holders
+                            and conn.kind == (CACHE if up in ahead else SEED)):
+                        seed = box_index[up]
+                installed.append(seed)
         live[box] = active[box]
 
     box_ids = list(box_index)
     slots = state.slots.tolist()
     return FlowNetwork(requests=requests, requesters=requesters,
                        box_ids=box_ids, box_caps=[slots[b] for b in box_ids],
-                       holder_arcs=holder_arcs)
+                       holder_arcs=holder_arcs, installed=installed)
 
 
 def schedule_maxflow(state: SimState, alloc: AllocationMap):
-    """Run the tracker over the current request multiset. Returns a
-    ConnectionAssignment when every request is served, else an Infeasible
-    carrying the min-cut obstruction when one decodes cleanly."""
-    try:
-        net = build_request_graph(state, alloc)
-    except Unschedulable as exc:
-        return Infeasible(total_requests=-1, flow_value=0,
-                          witness_stripes=[exc.stripe], witness_requests=None,
-                          witness_boxes=[], witness_capacity=0)
+    """Run the tracker over the current request multiset, starting from the
+    installed connections. Returns a ConnectionAssignment when every request
+    is served, else an Infeasible carrying the maximum partial flow and its
+    min-cut obstruction. Either lists one entry per
+    request, in request order, and marks in kept the requests whose seeding
+    connection still serves them."""
+    net = build_request_graph(state, alloc)
     res = max_flow(net)
+    box_ids = net.box_ids
+    seeds = net.installed
+    entries = []
+    kept = []
+    for r, bi in enumerate(res.request_to_box):
+        entries.append((net.requesters[r], box_ids[bi] if bi >= 0 else -1,
+                        net.requests[r]))
+        kept.append(bi >= 0 and bi == seeds[r])
     if res.value == net.num_requests:
-        entries = []
-        for r in range(net.num_requests):
-            bi = res.request_to_box[r]
-            entries.append((net.requesters[r], net.box_ids[bi], net.requests[r]))
-        return ConnectionAssignment(entries=entries)
-    return _extract_obstruction(net, res)
-
-
-def _extract_obstruction(net: FlowNetwork, res: MaxFlowResult) -> Infeasible:
+        return ConnectionAssignment(entries=entries, kept=kept)
+    # The unserved requests sit on the source side of the min cut, whose
+    # holders are saturated by that side's served requests alone.
     u_side = sorted(res.source_side)
-    if not u_side:
-        return Infeasible(total_requests=net.num_requests, flow_value=res.value)
-    nb: set[int] = set()
-    for r in u_side:
-        nb.update(net.holder_arcs[r])
-    capacity = sum(net.box_caps[bi] for bi in nb)
-    if capacity >= len(u_side):  # decoding ambiguous; report without witness
-        return Infeasible(total_requests=net.num_requests, flow_value=res.value)
+    nb = {bi for r in u_side for bi in net.holder_arcs[r]}
     return Infeasible(
         total_requests=net.num_requests, flow_value=res.value,
         witness_requests=u_side,
         witness_stripes=[net.requests[r] for r in u_side],
         witness_boxes=sorted(net.box_ids[bi] for bi in nb),
-        witness_capacity=capacity)
+        witness_capacity=sum(net.box_caps[bi] for bi in nb),
+        entries=entries, kept=kept)
 
 
 def check_expander(net: FlowNetwork):

@@ -60,9 +60,11 @@ class Connection:
 @dataclass
 class ConnectionAssignment:
     """Snapshot of the links in force, each carrying one stripe at rate 1/s:
-    (downloader, uploader, stripe)."""
+    (downloader, uploader, stripe). The tracker lists one entry per request
+    and marks in kept[r] the requests whose installed connection it keeps."""
 
     entries: list[tuple[int, int, StripeId]]
+    kept: list[bool] = field(default_factory=list)
 
 
 @dataclass(frozen=True)

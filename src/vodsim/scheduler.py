@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -252,7 +253,7 @@ class DistributedScheduler:
         self.rng = rng
         self.stats = SearchStats()
         # (session, stripe_j, flip_target or None, seed_only)
-        self.pending: list[tuple[PlaybackSession, int, Optional[int], bool]] = []
+        self.pending: deque[tuple[PlaybackSession, int, Optional[int], bool]] = deque()
 
     # -- candidate lists --
 
@@ -363,7 +364,7 @@ class DistributedScheduler:
                 failures.extend((s, j) for s, j, _, _ in self.pending)
                 self.pending.clear()
                 break
-            session, j, flip_to, seed_only = self.pending.pop(0)
+            session, j, flip_to, seed_only = self.pending.popleft()
             if session not in self.state.sessions[session.box]:
                 continue  # session ended meanwhile
             if j in session.parents:

@@ -19,8 +19,8 @@ from vodsim.bounds import feasibility_report, min_replication_k, realistic_repli
 from vodsim.cli import config_for_k, offline_boxes, probe_point
 from vodsim.config import SystemConfig, homogeneous_config
 from vodsim.engine import Engine
-from vodsim.maxflow import (Infeasible, Unschedulable, build_request_graph,
-                            check_expander, max_flow, schedule_maxflow)
+from vodsim.maxflow import (Infeasible, build_request_graph, check_expander,
+                            max_flow, schedule_maxflow)
 from vodsim.model import ConnectionAssignment, PlaybackSession, SimState
 
 SEEDS = list(range(10))
@@ -134,36 +134,31 @@ def test_criterion4_greedy_blocks_at_10pct_offline():
 
 
 def _random_tiny_state(rng):
-    """A small system with random playback state; every playing stripe is
-    guaranteed at least one foreign holder."""
-    while True:
-        n = rng.randint(2, 6)
-        s = rng.randint(1, 3)
-        m = rng.randint(1, 3)
-        k = rng.randint(1, 2)
-        playing = rng.randint(1, max(1, min(n, 12 // s)))
-        placement = np.array([[[rng.randrange(n) for _ in range(k)]
-                               for _ in range(s)] for _ in range(m)],
-                             dtype=np.int32)
-        upload = tuple(Fraction(rng.randint(0, 2 * s), s) for _ in range(n))
-        cfg = SystemConfig(n=n, upload=upload, storage=(Fraction(8),) * n,
-                           c=s, s=s, k=k, m=m,
-                           allocation_mode="purely_random")
-        alloc = AllocationMap(mode="purely_random", n=n, m=m, s=s, k=k,
-                              placement=placement)
-        state = SimState(cfg=cfg, alloc=alloc)
-        boxes = rng.sample(range(n), playing)
-        for box in boxes:
-            sess = PlaybackSession(box=box, video=rng.randrange(m),
-                                   start_tick=0, position=rng.randint(0, 9),
-                                   started=True)
-            state.sessions[box].append(sess)
-            state.join_swarm(sess)
-        try:
-            net = build_request_graph(state, alloc)
-        except Unschedulable:
-            continue  # trivially infeasible either way; covered by units
-        return state, alloc, net
+    """A small system with random playback state; a playing stripe may have
+    no foreign holder, and its request then has no arcs."""
+    n = rng.randint(2, 6)
+    s = rng.randint(1, 3)
+    m = rng.randint(1, 3)
+    k = rng.randint(1, 2)
+    playing = rng.randint(1, max(1, min(n, 12 // s)))
+    placement = np.array([[[rng.randrange(n) for _ in range(k)]
+                           for _ in range(s)] for _ in range(m)],
+                         dtype=np.int32)
+    upload = tuple(Fraction(rng.randint(0, 2 * s), s) for _ in range(n))
+    cfg = SystemConfig(n=n, upload=upload, storage=(Fraction(8),) * n,
+                       c=s, s=s, k=k, m=m,
+                       allocation_mode="purely_random")
+    alloc = AllocationMap(mode="purely_random", n=n, m=m, s=s, k=k,
+                          placement=placement)
+    state = SimState(cfg=cfg, alloc=alloc)
+    boxes = rng.sample(range(n), playing)
+    for box in boxes:
+        sess = PlaybackSession(box=box, video=rng.randrange(m),
+                               start_tick=0, position=rng.randint(0, 9),
+                               started=True)
+        state.sessions[box].append(sess)
+        state.join_swarm(sess)
+    return state, alloc, build_request_graph(state, alloc)
 
 
 def test_criterion5_hall_maxflow_equivalence():

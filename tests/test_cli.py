@@ -97,6 +97,18 @@ def test_single_experiment_writes_metrics(tmp_path):
     assert text.strip().splitlines()[-1].startswith("summary,")
 
 
+def test_sweep_refuses_a_config_it_would_ignore(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("n=8\nu=2\nd=2\nc=2\ns=2\nk=2\nm=8\n")
+    out = tmp_path / "out"
+    for name in ("k-sweep", "s-sweep", "hetero-sweep", "failure-sweep"):
+        rc = main(["experiment", "--name", name, "--config", str(cfg),
+                   "--values", "2", "--runs", "1", "--output", str(out)])
+        assert rc == 2
+        assert "n=100 baseline" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_small_sweep_output_format(tmp_path):
     path = run_sweep("k-sweep", "random", "static", seed=0, runs=2,
                      outdir=str(tmp_path), values=[10, 12])
