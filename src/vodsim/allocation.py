@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,14 @@ class AllocationMap:
     def holders(self, video: int, stripe: int) -> np.ndarray:
         """The k holders of a stripe, in replica order."""
         return self.placement[video, stripe]
+
+    @cached_property
+    def distinct_holders(self) -> list[list[tuple[int, ...]]]:
+        """distinct_holders[v][j]: the distinct boxes holding stripe j of
+        video v, ascending. Built at first use, the tracker's first network
+        build; placement must not change after that."""
+        return [[tuple(sorted(set(row))) for row in stripes]
+                for stripes in self.placement.tolist()]
 
     def dump(self) -> str:
         """Text table, one 'video,stripe,replica,box' line per replica."""

@@ -1,8 +1,9 @@
 """Centralized tracker: bipartite request/holder network, max-flow scheduling
 and the exhaustive expander (Hall condition) verifier for desk-scale nets.
 
-build_request_graph takes each session's cache holders from
-SimState.cache_sources once and reuses them for all its stripes, and
+build_request_graph numbers boxes by id, so a request's holder arcs depend
+on its session alone. Each session keeps its arcs until its holders change
+(a box fails or comes back, or its cache sources move), and each build
 records which installed connections can seed the flow. A request whose
 stripe has no holder gets no arcs.
 max_flow runs Dinic's algorithm on the implicit residual graph of the
@@ -17,7 +18,7 @@ partial assignment along with its min-cut witness."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .allocation import AllocationMap
 from .model import CACHE, SEED, SimState, StripeId, ConnectionAssignment
@@ -28,16 +29,16 @@ EXPANDER_GUARD = 20  # check_expander enumerates 2^R request subsets
 @dataclass
 class FlowNetwork:
     """Source -> requests (cap 1) -> holder boxes (cap 1 arcs) -> sink
-    (cap u_i*s). holder_arcs[r] lists distinct indices into box_ids.
-    installed[r] is the index of the box whose installed connection seeds
-    request r's flow, -1 for none; None seeds nothing. Seeds lie on holder
-    arcs and load no box beyond its capacity."""
+    (cap u_i*s). box_ids lists every box, so an index into it is a box id.
+    holder_arcs[r] lists distinct box indices. installed[r] is the box whose
+    installed connection seeds request r's flow, -1 for none; None seeds
+    nothing. Seeds lie on holder arcs and load no box beyond its capacity."""
 
     requests: list[Optional[StripeId]]
     requesters: list[int]  # box issuing each request, -1 for synthetic nets
     box_ids: list[int]
     box_caps: list[int]
-    holder_arcs: list[list[int]]
+    holder_arcs: list[Sequence[int]]
     installed: Optional[list[int]] = None
 
     @property
@@ -191,60 +192,81 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
                          source_side=source_side)
 
 
+class SessionArcs(NamedTuple):
+    """A session's holder arcs and request stripes, one per stripe, with
+    everything they were built from: the allocation, the active flags and
+    the session's cache sources minus its own box."""
+
+    alloc: AllocationMap
+    active: tuple[bool, ...]
+    ahead: list[int]
+    requests: list[StripeId]
+    arcs: list[tuple[int, ...]]
+
+
 def build_request_graph(state: SimState, alloc: AllocationMap) -> FlowNetwork:
     """One request node per stripe of every playing session; holders are the
     active allocation replicas plus playback caches sufficiently ahead of the
     requester (SimState.cache_sources). A box never holds for itself, and a
     stripe with no holder gives a request with no arcs.
 
-    A session's cache holders are found once for all its stripes. A
-    request's holder set takes its seed replicas in replica order, then its
-    cache holders by ascending box id; box_ids numbers boxes in the order
-    the sets iterate.
+    Boxes are numbered by id, so a request's arcs are its holders'
+    ascending box ids and depend on its session alone. Each session keeps
+    them in PlaybackSession.holder_arcs, keyed by the allocation (by
+    identity), the active flags and the session's cache sources; they are
+    rebuilt only when one of these changed. The cache sources are looked up
+    on every build.
 
     A request's installed connection seeds the flow when it is not in zap
     grace, its uploader is still a holder, and its kind is the one a new
-    connection would get (CACHE from a cache source, else SEED)."""
-    cfg = state.cfg
-    active = state.active
-    live = list(active)  # the requester's own entry is cleared in turn
+    connection would get (CACHE from a cache source, else SEED). The seeds
+    are found anew on every build, since every install changes them."""
+    active = tuple(state.active)
+    distinct = alloc.distinct_holders
 
     requests: list[StripeId] = []
     requesters: list[int] = []
-    box_index: dict[int, int] = {}
-    holder_arcs: list[list[int]] = []
+    holder_arcs: list[tuple[int, ...]] = []
     installed: list[int] = []
-    for box in range(cfg.n):
-        live[box] = False
-        for sess in state.sessions[box]:
+    for box, sessions in enumerate(state.sessions):
+        for sess in sessions:
             v = sess.video
             ahead = [b for b in state.cache_sources(v, sess.position) if b != box]
+            memo = sess.holder_arcs
+            if (memo is None or memo.alloc is not alloc or memo.active != active
+                    or memo.ahead != ahead):
+                memo = sess.holder_arcs = _session_arcs(alloc, active, ahead, box, v)
+            requests += memo.requests
+            holder_arcs += memo.arcs
+            requesters += [box] * len(memo.arcs)
             parents = sess.parents
-            for j, row in enumerate(alloc.placement[v].tolist()):
-                holders = set(filter(live.__getitem__, row))
-                holders.update(ahead)
-                if not box_index.keys() >= holders:
-                    for b in holders:
-                        if b not in box_index:
-                            box_index[b] = len(box_index)
-                requests.append(StripeId(v, j))
-                requesters.append(box)
-                holder_arcs.append(sorted(map(box_index.__getitem__, holders)))
+            for j, held in enumerate(distinct[v]):
                 conn = parents.get(j)
                 seed = -1
                 if conn is not None and conn.expires_at is None:
                     up = conn.uploader
-                    if (up in holders
-                            and conn.kind == (CACHE if up in ahead else SEED)):
-                        seed = box_index[up]
+                    if ((up in ahead) if conn.kind == CACHE
+                            else (up not in ahead and active[up] and up in held)):
+                        seed = up
                 installed.append(seed)
-        live[box] = active[box]
 
-    box_ids = list(box_index)
-    slots = state.slots.tolist()
     return FlowNetwork(requests=requests, requesters=requesters,
-                       box_ids=box_ids, box_caps=[slots[b] for b in box_ids],
+                       box_ids=list(range(state.cfg.n)),
+                       box_caps=state.slots.tolist(),
                        holder_arcs=holder_arcs, installed=installed)
+
+
+def _session_arcs(alloc: AllocationMap, active: tuple[bool, ...],
+                  ahead: list[int], box: int, video: int) -> SessionArcs:
+    """The holder arcs of every stripe of video for a session on box: the
+    stripe's active replicas other than box, and the cache sources ahead,
+    in ascending box id."""
+    arcs = []
+    for held in alloc.distinct_holders[video]:
+        seeds = [b for b in held if active[b] and b != box]
+        arcs.append(tuple(sorted({*seeds, *ahead}) if ahead else seeds))
+    return SessionArcs(alloc, active, ahead,
+                       [StripeId(video, j) for j in range(len(arcs))], arcs)
 
 
 def schedule_maxflow(state: SimState, alloc: AllocationMap):
@@ -256,26 +278,24 @@ def schedule_maxflow(state: SimState, alloc: AllocationMap):
     connection still serves them."""
     net = build_request_graph(state, alloc)
     res = max_flow(net)
-    box_ids = net.box_ids
     seeds = net.installed
     entries = []
     kept = []
-    for r, bi in enumerate(res.request_to_box):
-        entries.append((net.requesters[r], box_ids[bi] if bi >= 0 else -1,
-                        net.requests[r]))
-        kept.append(bi >= 0 and bi == seeds[r])
+    for r, b in enumerate(res.request_to_box):
+        entries.append((net.requesters[r], b, net.requests[r]))
+        kept.append(b >= 0 and b == seeds[r])
     if res.value == net.num_requests:
         return ConnectionAssignment(entries=entries, kept=kept)
     # The unserved requests sit on the source side of the min cut, whose
     # holders are saturated by that side's served requests alone.
     u_side = sorted(res.source_side)
-    nb = {bi for r in u_side for bi in net.holder_arcs[r]}
+    nb = {b for r in u_side for b in net.holder_arcs[r]}
     return Infeasible(
         total_requests=net.num_requests, flow_value=res.value,
         witness_requests=u_side,
         witness_stripes=[net.requests[r] for r in u_side],
-        witness_boxes=sorted(net.box_ids[bi] for bi in nb),
-        witness_capacity=sum(net.box_caps[bi] for bi in nb),
+        witness_boxes=sorted(nb),
+        witness_capacity=sum(net.box_caps[b] for b in nb),
         entries=entries, kept=kept)
 
 

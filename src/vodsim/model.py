@@ -38,6 +38,8 @@ class PlaybackSession:
     position: int = 0
     started: bool = False  # all s stripes connected within t_S
     parents: dict[int, "Connection"] = field(default_factory=dict)
+    # build_request_graph's memo of this session's holder arcs
+    holder_arcs: Optional[tuple] = field(default=None, repr=False)
 
     def missing_stripes(self, s: int) -> list[int]:
         return [j for j in range(s) if j not in self.parents]

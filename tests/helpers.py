@@ -10,7 +10,7 @@ import numpy as np
 from vodsim.allocation import AllocationError, AllocationMap
 from vodsim.config import SystemConfig, frac
 from vodsim.maxflow import FlowNetwork
-from vodsim.model import CACHE, ConnectionAssignment, SimEvent
+from vodsim.model import CACHE, SEED, ConnectionAssignment, SimEvent, StripeId
 from vodsim.scheduler import select_static
 
 
@@ -168,6 +168,43 @@ def check_forest(state) -> tuple[bool, list[int]]:
                 bad.append(v)
                 break
     return (not bad), bad
+
+
+def reference_requests(state, alloc) -> list[tuple]:
+    """The tracker's request network rebuilt from scratch, with no memo and
+    no SimState.cache_sources: per request, in build order, (requester,
+    stripe, holder boxes, seeded uploader or -1). Holders are the stripe's
+    active replicas and the active boxes whose cache is at least t_S ahead
+    (SimState.cache_ahead), the requester excluded. An installed connection
+    seeds when it is not in zap grace, its uploader is a holder and its
+    kind is CACHE exactly when the uploader is a cache source."""
+    out = []
+    for box in range(state.cfg.n):
+        for sess in state.sessions[box]:
+            v = sess.video
+            ahead = {b for b in range(state.cfg.n) if b != box and state.active[b]
+                     and state.cache_ahead(b, v, sess.position)}
+            for j in range(state.cfg.s):
+                holders = ahead | {int(b) for b in alloc.placement[v, j]
+                                   if b != box and state.active[b]}
+                conn = sess.parents.get(j)
+                seed = -1
+                if (conn is not None and conn.expires_at is None
+                        and conn.uploader in holders
+                        and conn.kind == (CACHE if conn.uploader in ahead else SEED)):
+                    seed = conn.uploader
+                out.append((box, StripeId(v, j), holders, seed))
+    return out
+
+
+def network_requests(net: FlowNetwork) -> list[tuple]:
+    """A built network's requests in reference_requests' form, mapped
+    through box_ids."""
+    ids = net.box_ids
+    return [(net.requesters[r], net.requests[r],
+             {ids[b] for b in net.holder_arcs[r]},
+             ids[net.installed[r]] if net.installed[r] >= 0 else -1)
+            for r in range(net.num_requests)]
 
 
 def random_net(rng: random.Random, max_req: int = 12, max_box: int = 6,

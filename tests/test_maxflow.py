@@ -3,12 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (brute_force_min_cut, per_uploader, random_net,
-                     scipy_max_flow_value, tiny_config)
-from vodsim.allocation import AllocationMap, allocate_regular
+from helpers import (brute_force_min_cut, network_requests,
+                     per_uploader, random_net, reference_requests,
+                     scipy_max_flow_value, tiny_config, tiny_hetero_config)
+from test_tracker_warm import churn_events
+from vodsim import adversary as adv
+from vodsim.allocation import (AllocationMap, allocate_purely_random,
+                               allocate_regular)
+from vodsim.engine import Engine, run
 from vodsim.maxflow import (FlowNetwork, Infeasible, build_request_graph,
                             check_expander, max_flow, schedule_maxflow)
-from vodsim.model import ConnectionAssignment, PlaybackSession, SimState, StripeId
+from vodsim.model import (CACHE, ConnectionAssignment, PlaybackSession,
+                          SimState, StripeId)
 
 
 def net_of(arcs, caps):
@@ -169,6 +175,67 @@ def test_request_graph_includes_only_ahead_caches():
     idx2 = net.requesters.index(others[1])
     boxes2 = {net.box_ids[bi] for bi in net.holder_arcs[idx2]}
     assert others[0] not in boxes2  # position 2 < 5 + 1
+
+
+def test_request_graph_numbers_boxes_by_id_and_sorts_arcs():
+    cfg = tiny_hetero_config()
+    alloc = allocate_purely_random(cfg, 1)
+    spec = adv.AdversarySpec(kind="stressless", seed=11, p_f=0.1)
+    events = adv.generate_stressless(cfg, spec, 80).events
+    _, state = run(cfg, alloc, None, "dynamic-maxflow", seed=1, events=events)
+    net = build_request_graph(state, alloc)
+    assert net.box_ids == list(range(cfg.n))
+    assert net.box_caps == [cfg.upload_slots(b) for b in range(cfg.n)]
+    assert all(list(arcs) == sorted(set(arcs)) for arcs in net.holder_arcs)
+    # the replay leaves cache sources among the arcs, not only replicas
+    assert any(conn.kind == CACHE for ups in state.uploads for conn in ups)
+
+
+class MemoCheckedEngine(Engine):
+    """Compares the tracker's network with a from-scratch reference before
+    and after every re-solve and at the end of every tick."""
+
+    checks = 0
+
+    def check(self):
+        net = build_request_graph(self.state, self.alloc)
+        assert network_requests(net) == reference_requests(self.state, self.alloc)
+        self.checks += 1
+
+    def _resolve_maxflow(self):
+        self.check()
+        result = super()._resolve_maxflow()
+        self.check()
+        return result
+
+    def step(self, *args, **kwargs):
+        super().step(*args, **kwargs)
+        self.check()
+
+
+def test_memoised_request_graph_matches_a_fresh_build():
+    # the replays of test_warm_start_keeps_a_maximum_flow_and_what_it_serves:
+    # failures, resurrections, offline boxes, zaps, stops and idle caches
+    checks = 0
+    for seed in range(24):
+        rng = random.Random(seed)
+        cfg = tiny_config(n=rng.randint(8, 16), s=rng.choice([2, 3]),
+                          k=rng.choice([1, 2]), c=2, u=rng.choice([1, 2]), d=2,
+                          video_duration=rng.choice([8, 15, 25]))
+        alloc = allocate_regular(cfg, seed)
+        offline = set(rng.sample(range(cfg.n), rng.randint(0, 3)))
+        eligible = [b for b in range(cfg.n) if b not in offline]
+        adversary = adv.make_adversary(
+            cfg, adv.AdversarySpec(kind="random", seed=seed + 1),
+            eligible=eligible)
+        eng = MemoCheckedEngine(cfg, alloc, "dynamic-maxflow", seed=seed,
+                                offline=offline)
+        request_p = rng.choice([0.2, 0.5])
+        for tick in range(60):
+            eng.step(churn_events(rng, cfg, tick, offline), adversary,
+                     rate=int(rng.random() < request_p))
+        checks += eng.checks
+    assert checks > 0
 
 
 def test_zero_holder_stripe_is_unschedulable():
