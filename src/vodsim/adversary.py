@@ -184,18 +184,29 @@ class GreedyAdversary(Adversary):
         `select_static` ranks acceptors by (-free, load for the video, box),
         so its pick always has the most free slots among the stripe's
         acceptors: a stripe scores that maximum, with no loads, tie-breaks
-        or dry runs."""
-        free = state.free.astype(np.int64)
+        or dry runs.
+
+        The seed maximum is taken column by column: one pass per replica
+        over the contiguous (m, s) table of its holders, with the requester
+        and offline boxes at 0. The minimum over stripes follows, and only
+        then each video's cache maximum c, as max(worst, c). That order is
+        exact because a cache t_S ahead serves every stripe of its video
+        alike, and min_j max(a_j, c) = max(min_j a_j, c). A cache box that
+        holds a replica already counts as a seed source."""
         usable = np.array(state.active, dtype=bool)  # a copy, never an alias
         usable[requester] = False
-        best = np.where(usable, free, 0)[self.alloc.placement].max(axis=2)
-        # a cache t_S ahead serves every stripe of its video alike; a cache
-        # box that holds a replica already counts above as a seed source
+        seed_free = np.where(usable, state.free.astype(np.int64), 0)
+        first, *rest = self.alloc.holder_columns
+        best = seed_free[first]
+        for col in rest:
+            np.maximum(best, seed_free[col], out=best)
+        worst = best.min(axis=1)
+        free = state.free.tolist()
         for v in set(state.swarms) | set(state.idle_cache_by_video):
             c = max((free[b] for b in cache_acceptors(state, v, 0, requester)),
                     default=0)
-            best[v] = np.maximum(best[v], c)
-        worst = best.min(axis=1)
+            if c > worst[v]:
+                worst[v] = c
         return np.where(worst > 0, worst, -1)
 
 

@@ -45,6 +45,15 @@ class AllocationMap:
         return [[tuple(sorted(set(row))) for row in stripes]
                 for stripes in self.placement.tolist()]
 
+    @cached_property
+    def holder_columns(self) -> tuple[np.ndarray, ...]:
+        """holder_columns[r]: placement[:, :, r] as a contiguous (m, s)
+        index array, the box holding replica r of every stripe. Built at
+        first use, the greedy adversary's first score; placement must not
+        change after that."""
+        return tuple(np.ascontiguousarray(self.placement[:, :, r], dtype=np.intp)
+                     for r in range(self.k))
+
     def dump(self) -> str:
         """Text table, one 'video,stripe,replica,box' line per replica."""
         lines = []

@@ -256,14 +256,17 @@ class Engine:
         self.state.tick += 1
 
     def _advance_playback(self, completions: bool = True):
-        for box in range(self.cfg.n):
-            for sess in list(self.state.sessions[box]):
-                if not sess.started:
-                    continue
-                if len(sess.parents) == self.cfg.s or self.mode == "static":
-                    sess.position = min(sess.position + 1, self.cfg.video_duration)
-                if completions and sess.position >= self.cfg.video_duration:
-                    self._complete(sess)
+        s, end = self.cfg.s, self.cfg.video_duration
+        static = self.mode == "static"
+        # a snapshot, box by box: a completion leaves its box's list
+        for sess in [sess for box_sessions in self.state.sessions
+                     for sess in box_sessions]:
+            if not sess.started:
+                continue
+            if (static or len(sess.parents) == s) and sess.position < end:
+                sess.position += 1
+            if completions and sess.position >= end:
+                self._complete(sess)
 
     def _complete(self, sess: PlaybackSession):
         self.state.close_session(sess)
@@ -339,8 +342,8 @@ class Engine:
 
     def _record_tick(self):
         st = self.state
-        used = sum(int(st.slots[b] - st.free[b]) for b in range(self.cfg.n))
-        cap = sum(int(st.slots[b]) for b in range(self.cfg.n) if st.active[b])
+        used = int((st.slots - st.free).sum())
+        cap = sum(slots for slots, on in zip(st.slots.tolist(), st.active) if on)
         playing = sum(len(s) for s in st.sessions)
         self.metrics.per_tick.append(TickRow(
             tick=st.tick, issued=self.metrics.issued,

@@ -28,7 +28,7 @@ SEED = "seed"
 CACHE = "cache"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class PlaybackSession:
     """One video being played (or starting up) on a box."""
 
@@ -45,7 +45,7 @@ class PlaybackSession:
         return [j for j in range(s) if j not in self.parents]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Connection:
     uploader: int
     session: PlaybackSession

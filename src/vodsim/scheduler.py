@@ -176,14 +176,16 @@ def static_candidates(state: SimState, alloc: AllocationMap, requester: int,
     cache service respects the reserved slot and needs data t_S ahead of
     position 0, where a static session always asks: it connects all stripes
     before its playback starts."""
+    free, active = state.free.tolist(), state.active
+    load = state.video_load.get(video, {})
     bybox: dict[int, tuple] = {}
     for b in alloc.holders(video, j).tolist():
-        if b == requester or not state.active[b] or state.free[b] <= 0:
+        if b == requester or not active[b] or free[b] <= 0:
             continue
-        bybox[b] = (-int(state.free[b]), state.load_for_video(b, video), b, SEED)
+        bybox[b] = (-free[b], load.get(b, 0), b, SEED)
     for b in cache_acceptors(state, video, 0, requester):
         if b not in bybox:
-            bybox[b] = (-int(state.free[b]), state.load_for_video(b, video), b, CACHE)
+            bybox[b] = (-free[b], load.get(b, 0), b, CACHE)
     return sorted(bybox.values())
 
 

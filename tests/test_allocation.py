@@ -24,6 +24,17 @@ def test_regular_tiny_instance_fills_every_box():
         assert len(alloc.holders(v, 0)) == 2
 
 
+def test_holder_columns_are_placement_columns_built_lazily():
+    cfg = tiny_config(n=6, d=3, s=2, k=3)
+    alloc = allocate_regular(cfg, seed=5)
+    assert "holder_columns" not in vars(alloc)  # no cost at allocation
+    cols = alloc.holder_columns
+    assert len(cols) == cfg.k
+    for r, col in enumerate(cols):
+        assert col.flags.c_contiguous
+        assert np.array_equal(col, alloc.placement[:, :, r])
+
+
 def test_regular_reference_scale():
     cfg = homogeneous_config(n=100, u="1+1/15", d=32, c=15, s=15, k=10)
     assert cfg.m == 320

@@ -8,7 +8,7 @@ from vodsim import adversary as adv
 from vodsim.allocation import AllocationMap, allocate_regular
 from vodsim.config import SystemConfig
 from vodsim.engine import Engine, Metrics, metrics_csv, run, saturation_probe
-from vodsim.model import CACHE, SimEvent
+from vodsim.model import CACHE, SEED, SimEvent
 
 
 def handcrafted(n, upload, storage, placement, s=1, m=None, k=None, **kw):
@@ -169,6 +169,35 @@ class TestDynamicDistributed:
                 if conn.kind == CACHE:
                     src = state.cache_position(conn.uploader, conn.stripe.video)
                     assert src >= conn.session.position + cfg.t_s
+
+
+def test_dynamic_playback_tick():
+    # one dynamic tick: a fully connected session advances; a session missing
+    # a stripe and one not yet started hold; two boxes reaching the video's
+    # end on the same tick both complete and both keep an idle cache
+    cfg, alloc = handcrafted(6, upload=[5] * 6, storage=[2, 0, 0, 0, 0, 0],
+                             placement=[[[0], [0]], [[0], [0]]], s=2,
+                             video_duration=5)
+    eng = Engine(cfg, alloc, "dynamic-maxflow", seed=0)
+    st, end = eng.state, cfg.video_duration
+
+    def session(box, video, position, started, stripes):
+        sess = st.open_session(box, video)
+        sess.position, sess.started = position, started
+        for j in stripes:
+            st.install_connection(0, sess, j, SEED)
+        return sess
+
+    full = session(1, 0, 2, True, (0, 1))
+    partial = session(2, 0, 2, True, (0,))
+    waiting = session(3, 0, 0, False, (0, 1))
+    session(4, 1, end - 1, True, (0, 1))
+    session(5, 0, end - 1, True, (0, 1))
+    eng._advance_playback()
+    assert (full.position, partial.position, waiting.position) == (3, 2, 0)
+    assert st.sessions[4] == [] and st.sessions[5] == []
+    assert st.idle_cache[4] == (1, end) and st.idle_cache[5] == (0, end)
+    assert int(st.free[0]) == int(st.slots[0]) - 5  # the finished downloads left
 
 
 class TestDynamicMaxflow:
