@@ -351,7 +351,7 @@ class Engine:
             stalls=len(self.metrics.stalls),
             utilization=(used / cap) if cap else 0.0,
             active_boxes=sum(st.active), playing=playing,
-            max_swarm=int(st.swarm_size.max()) if self.cfg.m else 0))
+            max_swarm=max(map(len, st.swarms.values()), default=0)))
 
     def _merge_sched_stats(self):
         if self.sched is None:

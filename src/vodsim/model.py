@@ -104,8 +104,8 @@ class SimState:
         self.sessions: list[list[PlaybackSession]] = [[] for _ in range(n)]
         self.idle_cache: list[Optional[tuple[int, int]]] = [None] * n
         self.swarms: dict[int, list[PlaybackSession]] = {}
-        self.swarm_size = np.zeros(cfg.m, dtype=np.int32)
-        self.seed_active = np.zeros((cfg.m, cfg.s), dtype=np.int32)
+        # active seed-kind downloads per stripe, for the v_S gate
+        self.seed_active: dict[StripeId, int] = {}
         self.video_load: dict[int, dict[int, int]] = {}
         self.idle_cache_by_video: dict[int, set[int]] = {}
 
@@ -122,7 +122,7 @@ class SimState:
         if kind == CACHE:
             self.cache_up[uploader] += 1
         else:
-            self.seed_active[stripe.video, stripe.stripe] += 1
+            self.seed_active[stripe] = self.seed_active.get(stripe, 0) + 1
         load = self.video_load.setdefault(stripe.video, {})
         load[uploader] = load.get(uploader, 0) + 1
         session.parents[stripe_j] = conn
@@ -138,7 +138,7 @@ class SimState:
         if conn.kind == CACHE:
             self.cache_up[up] -= 1
         else:
-            self.seed_active[conn.stripe.video, conn.stripe.stripe] -= 1
+            self.seed_active[conn.stripe] -= 1
         load = self.video_load.get(conn.stripe.video)
         if load is not None:
             load[up] -= 1
@@ -192,14 +192,12 @@ class SimState:
             self.sever_connection(conn)
         members = self.swarms[session.video]
         members.remove(session)
-        self.swarm_size[session.video] -= 1
         if not members:
             del self.swarms[session.video]
         self.sessions[session.box].remove(session)
 
     def join_swarm(self, session: PlaybackSession) -> None:
         self.swarms.setdefault(session.video, []).append(session)
-        self.swarm_size[session.video] += 1
 
     def cache_position(self, box: int, video: int) -> Optional[int]:
         """Best data position box can serve video from (playback or idle

@@ -9,7 +9,10 @@ sources, swarm playback caches as cache sources):
   never touches existing connections and never gates seed service;
 * the randomized distributed scheduler: cache-first fanout probing behind
   the v_S popularity gate, the seven-step connection-granting decision,
-  connection flipping and seed re-search.
+  connection flipping and seed re-search. A search probes its candidates in
+  one order, the swarm sample, then the stripe's allocation holders, then
+  the flip targets that refusals name, and produces each candidate only
+  when a batch needs it.
 
 A box serving from its playback cache must be at least t_S ticks of data
 ahead of the requested position. That rule lives in one place,
@@ -26,7 +29,8 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain, repeat
+from typing import Iterator, Optional
 
 from .allocation import AllocationMap
 from .model import (CACHE, SEED, Connection, PlaybackSession, SimState,
@@ -69,8 +73,8 @@ def gate_open(state: SimState, stripe: StripeId) -> bool:
     """Allocation holders are probed only while the swarm is small or the
     stripe has few active seed downloads (the v_S gate)."""
     v_s = state.cfg.v_s
-    return (state.swarm_size[stripe.video] < v_s
-            or state.seed_active[stripe.video, stripe.stripe] < v_s)
+    return (len(state.swarms.get(stripe.video, ())) < v_s
+            or state.seed_active.get(stripe, 0) < v_s)
 
 
 def cache_capacity_ok(state: SimState, x: int) -> bool:
@@ -254,86 +258,100 @@ class DistributedScheduler:
         self.alloc = alloc
         self.rng = rng
         self.stats = SearchStats()
+        # the swarm sample's size cap: 8 log2 n boxes
+        self.sample_limit = 8 * max(1, math.ceil(math.log2(max(2, state.cfg.n))))
         # (session, stripe_j, flip_target or None, seed_only)
         self.pending: deque[tuple[PlaybackSession, int, Optional[int], bool]] = deque()
 
     # -- candidate lists --
 
-    def _swarm_sample(self, video: int, requester: int, position: int) -> list[int]:
-        cands = [b for b in self.state.cache_sources(video, position)
-                 if b != requester]
-        limit = min(len(cands), 8 * max(1, math.ceil(math.log2(max(2, self.state.cfg.n)))))
+    def _swarm_sample(self, requester: int, sources: list[int]) -> list[int]:
+        cands = [b for b in sources if b != requester]
+        limit = self.sample_limit
         picked = self.rng.sample(cands, limit) if limit < len(cands) else cands
         self.rng.shuffle(picked)
         return picked
 
-    def _seed_list(self, stripe: StripeId, requester: int) -> list[int]:
+    def _seed_holders(self, stripe: StripeId, requester: int) -> Iterator[int]:
         # replica order: the forward scan of the allocation list
-        return [b for b in self.alloc.holders(stripe.video, stripe.stripe).tolist()
-                if b != requester and self.state.active[b]]
+        active = self.state.active
+        for b in self.alloc.holders(stripe.video, stripe.stripe).tolist():
+            if b != requester and active[b]:
+                yield b
 
     # -- searching --
 
-    def search(self, session: PlaybackSession, j: int,
-               seed_only: bool = False) -> Optional[Connection]:
+    def search(self, session: PlaybackSession, j: int, seed_only: bool = False,
+               sources: Optional[list[int]] = None) -> Optional[Connection]:
         """Find and install an uploader for stripe j of the session. Probes
-        FANOUT candidates at a time, cache candidates first, allocation
-        holders only through the v_S gate; among acceptors the one with the
-        least uploads for the video wins."""
+        FANOUT candidates at a time, in this order: the swarm sample (cache
+        sources, drawn from the RNG before any grant), then the stripe's
+        allocation holders, only through the v_S gate, then the flip targets
+        that refusals name. Candidates are produced only as batches need
+        them. Among a batch's acceptors the one with the least uploads for
+        the video wins. sources is cache_sources(video, position), when the
+        caller already has it."""
         stripe = StripeId(session.video, j)
         st = self.state
-        candidates: list[tuple[int, str]] = []
+        box, video = session.box, session.video
+        cache_req = ConnectionRequest(requester=box, stripe=stripe,
+                                      position=session.position, kind=CACHE)
+        swarm: list[int] = []
         if not seed_only:
-            for b in self._swarm_sample(session.video, session.box, session.position):
-                candidates.append((b, CACHE))
+            if sources is None:
+                sources = st.cache_sources(video, session.position)
+            swarm = self._swarm_sample(box, sources)
+        seeds = ()
         if gate_open(st, stripe) or seed_only:
-            for b in self._seed_list(stripe, session.box):
-                candidates.append((b, SEED))
+            seed_req = ConnectionRequest(requester=box, stripe=stripe,
+                                         position=session.position, kind=SEED)
+            seeds = zip(self._seed_holders(stripe, box), repeat(seed_req))
             self.stats.note_seed_search(stripe)
         if seed_only:
             self.stats.note_reseed(stripe)
 
+        # Flip targets are read by index: they are appended mid-search, and
+        # an exhausted iterator over them would drop later appends.
+        lazy = chain(zip(swarm, repeat(cache_req)), seeds)
+        flips: list[int] = []
+        fi = 0
         probed = 0
         seen: set[int] = set()
-        chain_guard = max(1, int(st.swarm_size[session.video])) + 1
-        flips_followed = 0
-        i = 0
-        queue = candidates
-        while i < len(queue):
+        chain_guard = max(1, len(st.swarms.get(video, ()))) + 1
+        while True:
             batch = []
-            while i < len(queue) and len(batch) < FANOUT:
-                b, kind = queue[i]
-                i += 1
-                if b in seen:
-                    continue
-                seen.add(b)
-                batch.append((b, kind))
+            for b, req in lazy:
+                if b not in seen:
+                    seen.add(b)
+                    batch.append((b, req))
+                    if len(batch) == FANOUT:
+                        break
+            while len(batch) < FANOUT and fi < len(flips):
+                b = flips[fi]
+                fi += 1
+                if b not in seen:
+                    seen.add(b)
+                    batch.append((b, cache_req))
             if not batch:
-                continue
+                break
             probed += len(batch)
-            decisions = []
-            for b, kind in batch:
-                req = ConnectionRequest(requester=session.box, stripe=stripe,
-                                        position=session.position, kind=kind)
-                decisions.append((b, kind, grant_connection(b, req, st, self.rng)))
-            acceptors = [(b, kind, d) for b, kind, d in decisions if d.accept]
+            decisions = [(b, req, grant_connection(b, req, st, self.rng))
+                         for b, req in batch]
+            acceptors = [t for t in decisions if t[2].accept]
             if acceptors:
                 # least uploads for the video first; unlike the static
                 # selector, residual capacity only breaks ties here
-                b, kind, d = min(acceptors, key=lambda t: (
-                    st.load_for_video(t[0], session.video), -int(st.free[t[0]]), t[0]))
-                return self._commit(session, j, b, kind, d)
-            for b, kind, d in decisions:
+                b, req, d = min(acceptors, key=lambda t: (
+                    st.load_for_video(t[0], video), -int(st.free[t[0]]), t[0]))
+                return self._commit(session, j, b, req.kind, d)
+            for b, req, d in decisions:
                 if d.flip_to is not None and d.flip_to not in seen \
-                        and flips_followed < chain_guard:
-                    flips_followed += 1
+                        and len(flips) < chain_guard:
                     self.stats.flips += 1
-                    queue.append((d.flip_to, CACHE))
+                    flips.append(d.flip_to)
         self.stats.failures += 1
-        self.stats.failure_log.append(SearchFailure(
-            request=ConnectionRequest(requester=session.box, stripe=stripe,
-                                      position=session.position, kind=CACHE),
-            probed=probed))
+        self.stats.failure_log.append(SearchFailure(request=cache_req,
+                                                    probed=probed))
         return None
 
     def _commit(self, session: PlaybackSession, j: int, box: int, kind: str,
@@ -406,8 +424,11 @@ class DistributedScheduler:
         returns the session (started only if fully connected)."""
         sess = self.state.open_session(box, video)
         self.state.clear_idle_cache(box)
+        # no search or commit moves a position, an idle cache or a box's
+        # activity, so one cache-source list serves all s stripes
+        sources = self.state.cache_sources(video, sess.position)
         for j in range(self.state.cfg.s):
-            self.search(sess, j)
+            self.search(sess, j, sources=sources)
         if not sess.missing_stripes(self.state.cfg.s):
             sess.started = True
         return sess

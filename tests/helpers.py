@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
 from vodsim.allocation import AllocationError, AllocationMap
 from vodsim.config import SystemConfig, frac
+from vodsim.engine import Engine
 from vodsim.maxflow import FlowNetwork
 from vodsim.model import CACHE, SEED, ConnectionAssignment, SimEvent, StripeId
 from vodsim.scheduler import select_static
@@ -121,6 +123,18 @@ def dry_run_scores(state, alloc, requester: int) -> np.ndarray:
         scores[v] = (-1 if any(p is None for p in picks)
                      else min(int(state.free[b]) for b, _ in picks))
     return scores
+
+
+def distributed_replay(cfg, alloc, events, seed: int):
+    """Replay events through a dynamic-distributed Engine tick by tick, as
+    engine.run does, and return its DistributedScheduler: run returns no
+    scheduler, and the search counters (flips, evictions, failures) live on
+    its stats."""
+    eng = Engine(cfg, alloc, "dynamic-distributed", seed=seed)
+    pending = sorted(events, key=attrgetter("time"))
+    for t in range(pending[-1].time + 1):
+        eng.step([ev for ev in pending if ev.time == t])
+    return eng.sched
 
 
 def assignment(state) -> ConnectionAssignment:

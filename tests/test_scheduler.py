@@ -257,6 +257,25 @@ class TestConnectionFlipping:
                     for b, p in enumerate(positions)]
         return cfg, state, alloc, sessions
 
+    def test_flip_target_probed_after_candidates_run_out(self):
+        # a reseed search probes the lone holder only: box 0 plays the video
+        # with its one slot taken by a cache child ahead of the requester, so
+        # it refuses at step 7 and redirects to that child, which has a free
+        # slot besides the reserved one; the redirect comes after the last
+        # candidate was drawn, in a batch of one, and must still be probed
+        cfg, state, alloc = handcrafted(4, upload=[1, 2, 1, 1],
+                                        storage=[1, 0, 0, 0],
+                                        placement=[[[0]]])
+        add_session(state, 0, 0, position=9)
+        child = add_session(state, 1, 0, position=5)
+        state.install_connection(0, child, 0, CACHE)
+        sched = DistributedScheduler(state, alloc, random.Random(1))
+        sess = add_session(state, 2, 0, started=False)
+        conn = sched.search(sess, 0, seed_only=True)
+        assert conn is not None and conn.uploader == 1 and conn.kind == CACHE
+        assert sched.stats.flips == 1
+        assert sched.stats.failures == 0
+
     def test_rejoin_orders_always_sort_into_position_chain(self):
         # whatever positions the rejoining boxes hold, flipping must order
         # the tree by stripe position: seed -> foremost -> middle -> last
