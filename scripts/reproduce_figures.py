@@ -7,9 +7,8 @@ import argparse
 import sys
 import time
 
-from vodsim.cli import run_sweep
+from vodsim.cli import SWEEPS, run_sweep
 
-SWEEPS = ("k-sweep", "s-sweep", "hetero-sweep", "failure-sweep")
 ADVERSARIES = ("random", "zipf", "greedy")
 
 

@@ -1,26 +1,29 @@
 """Batch experiment runner: reproduces the saturation sweeps (replication,
 striping, heterogeneity, offline boxes) and exposes allocation, bounds and
-sequence tooling. Emits plot-ready CSV; no figure rendering."""
+sequence tooling. Emits plot-ready CSV; no figure rendering. Each sweep is
+one row of SWEEPS: its default values and an axis that moves the base config
+(--config, else config_for_k(10)) to each of its points."""
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
+import shlex
 import statistics
 import sys
 from fractions import Fraction
 from multiprocessing import Pool
+from typing import Callable, NamedTuple
 
 from . import adversary as adv
 from .allocation import allocate, AllocationError
 from .bounds import feasibility_report
-from .config import (SystemConfig, dump_config, errors_of, frac,
-                     gaussian_upload, homogeneous_config, load_config,
+from .config import (SystemConfig, dump_config, errors_of, gaussian_upload,
+                     homogeneous_config, load_config, shave_storage,
                      validate_config)
 from .engine import metrics_csv, run, saturation_probe
-
-EXPERIMENTS = ("k-sweep", "s-sweep", "hetero-sweep", "failure-sweep", "single")
 
 BASE_N = 100
 BASE_D = 32
@@ -33,17 +36,6 @@ def config_for_k(k: int, n: int = BASE_N, d: int = BASE_D, s: int = BASE_S) -> S
     feasibility boundary mu = u (the sweeps put no growth bound into play)."""
     u = Fraction(s + 1, s)
     return homogeneous_config(n=n, u=u, d=d, c=s, s=s, k=k, mu=u)
-
-
-def config_hetero(variance: float, seed: int, k: int = 10, n: int = BASE_N,
-                  d: int = BASE_D, s: int = BASE_S) -> SystemConfig:
-    """Heterogeneity sweep point: config_for_k's system with per-box upload
-    from a Gaussian with mean 1+1/s truncated to the fixed bounds
-    [1/s, 2+2/s] of gaussian_upload, renormalized to preserve the mean
-    exactly; storage stays homogeneous (shaved as config_for_k shaves it)."""
-    return dataclasses.replace(
-        config_for_k(k, n=n, d=d, s=s),
-        upload=gaussian_upload(n, Fraction(s + 1, s), variance, s, seed))
 
 
 def offline_boxes(cfg: SystemConfig, fraction: float, seed: int) -> list[int]:
@@ -67,56 +59,88 @@ def probe_point(cfg: SystemConfig, adversary_kind: str, mode: str, seed: int,
     return saturation_probe(cfg, alloc, adversary, mode, seed, offline=offline)
 
 
-def _sweep_task(args):
-    (name, value, seed, adversary_kind, mode, trace_entries, gamma) = args
-    trace = adv.PopularityTrace(trace_entries) if trace_entries else None
-    off = []
-    if name == "k-sweep":
-        cfg = config_for_k(int(value))
-    elif name == "s-sweep":
-        cfg = config_for_k(10, s=int(value))
-    elif name == "hetero-sweep":
-        cfg = config_hetero(float(value), seed)
-    elif name == "failure-sweep":
-        cfg = config_for_k(10)
-        off = offline_boxes(cfg, float(value), seed)
+def _with_k(base: SystemConfig, k: int, seed: int):
+    m = base.total_storage_slots // (k * base.s)
+    storage = base.storage
+    if base.allocation_mode == "regular":
+        storage = shave_storage(base.n, base.avg_storage, base.s, k, m)
+    return dataclasses.replace(base, k=k, m=m, storage=storage), []
+
+
+def _with_s(base: SystemConfig, s: int, seed: int):
+    u = Fraction(s + 1, s)
+    cfg = dataclasses.replace(base, s=s, c=s, upload=(u,) * base.n, mu=u)
+    return _with_k(cfg, base.k, seed)
+
+
+def _with_upload_sd(base: SystemConfig, sd: float, seed: int):
+    upload = gaussian_upload(base.n, base.avg_upload, sd, base.s, seed)
+    return dataclasses.replace(base, upload=upload), []
+
+
+class Sweep(NamedTuple):
+    """Value type and range [lo, hi], default values, and the axis:
+    (base config, value, seed) -> (the point's config, its offline boxes)."""
+    type: type
+    lo: float
+    hi: float
+    values: tuple
+    axis: Callable
+
+
+# k: m = floor(storage slots / (k*s)), storage shaved in regular mode.
+# s: c = s and u = mu = 1+1/s (config_for_k's rule), then k's rule at base.k.
+SWEEPS = {
+    "k-sweep": Sweep(int, 1, math.inf, tuple(range(1, 21)), _with_k),
+    "s-sweep": Sweep(int, 1, math.inf, tuple(range(1, 31)), _with_s),
+    "hetero-sweep": Sweep(float, 0, math.inf,
+                          tuple(round(0.1 * i, 2) for i in range(11)),
+                          _with_upload_sd),
+    "failure-sweep": Sweep(float, 0, 1,
+                           tuple(round(0.05 * i, 2) for i in range(13)),
+                           lambda base, f, seed:
+                           (base, offline_boxes(base, f, seed))),
+}
+EXPERIMENTS = (*SWEEPS, "single")
+
+
+def _probe_task(args):
+    cfg, off, seed, adversary_kind, mode, trace, gamma = args
+    res = probe_point(cfg, adversary_kind, mode, seed, offline=off,
+                      trace=trace, gamma=gamma)
+    return seed, res.satisfied, res.ceiling, cfg.n - len(off)
+
+
+def sweep_points(name: str, adversary_kind: str, mode: str, seeds, values,
+                 base: SystemConfig | None = None, workers: int = 0,
+                 trace=None, gamma: float = 2.0) -> dict:
+    """value -> [(seed, satisfied, ceiling, target)], probed on the config
+    that `name`'s axis makes of `base` (config_for_k(10) when None); the
+    target is the number of boxes online."""
+    sweep = SWEEPS[name]
+    base = config_for_k(10) if base is None else base
+    tasks = [(*sweep.axis(base, v, s), s, adversary_kind, mode, trace, gamma)
+             for v in values for s in seeds]
+    if workers > 1:
+        with Pool(workers) as pool:
+            rows = pool.map(_probe_task, tasks)
     else:
-        raise ValueError(name)
-    res = probe_point(cfg, adversary_kind, mode, seed, offline=off, trace=trace,
-                      gamma=gamma)
-    return value, seed, res.satisfied, res.ceiling, cfg.n - len(off)
-
-
-def default_values(name: str):
-    if name == "k-sweep":
-        return list(range(1, 21))
-    if name == "s-sweep":
-        return list(range(1, 31))
-    if name == "hetero-sweep":
-        return [round(0.1 * i, 2) for i in range(11)]
-    if name == "failure-sweep":
-        return [round(0.05 * i, 2) for i in range(13)]  # 0 .. 0.6
-    raise ValueError(name)
+        rows = [_probe_task(t) for t in tasks]
+    per = len(seeds)
+    return {v: rows[i * per:(i + 1) * per] for i, v in enumerate(values)}
 
 
 def run_sweep(name: str, adversary_kind: str, mode: str, seed: int, runs: int,
               outdir: str, values=None, workers: int = 0, trace=None,
-              gamma: float = 2.0) -> str:
-    values = values if values is not None else default_values(name)
+              gamma: float = 2.0, base: SystemConfig | None = None,
+              options: str = "") -> str:
+    """Write a sweep's CSV. A `base` given is written as `# config:` lines;
+    `options` are the CLI options, past those the header names, that give
+    `base`, `trace` and `gamma`."""
+    values = SWEEPS[name].values if values is None else values
     seeds = [seed + i for i in range(runs)]
-    trace_entries = trace.entries if trace is not None else None
-    tasks = [(name, v, s, adversary_kind, mode, trace_entries, gamma)
-             for v in values for s in seeds]
-    if workers and workers > 1:
-        with Pool(workers) as pool:
-            rows = pool.map(_sweep_task, tasks)
-    else:
-        rows = [_sweep_task(t) for t in tasks]
-    rows.sort(key=lambda r: (float(r[0]), r[1]))
-
-    by_value: dict = {}
-    for value, s, sat, ceiling, target in rows:
-        by_value.setdefault(value, []).append((s, sat, ceiling, target))
+    by_value = sweep_points(name, adversary_kind, mode, seeds, values, base,
+                            workers, trace, gamma)
     os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, f"{name}_{adversary_kind}.csv")
     with open(path, "w") as f:
@@ -124,10 +148,15 @@ def run_sweep(name: str, adversary_kind: str, mode: str, seed: int, runs: int,
         f.write(f"# seeds={','.join(str(s) for s in seeds)} runs={runs}\n")
         f.write(f"# reproduce: vodsim experiment --name {name} "
                 f"--adversary {adversary_kind} --mode {mode} "
-                f"--seed {seed} --runs {runs}\n")
+                f"--seed {seed} --runs {runs}{options}\n")
+        if base is not None:
+            for line in dump_config(base).splitlines():
+                f.write(f"# config: {line}\n")
         if name == "hetero-sweep":
-            f.write("# upload ~ Gaussian(mean=1+1/s, sd=value) truncated to "
-                    "[1/s, 2+2/s], slot-rounded, renormalized to the exact mean\n")
+            mean, top = (("1+1/s", "2+2/s") if base is None
+                         else (base.avg_upload, 2 * base.avg_upload))
+            f.write(f"# upload ~ Gaussian(mean={mean}, sd=value) truncated to "
+                    f"[1/s, {top}], slot-rounded, renormalized to the exact mean\n")
         f.write("value,runs,mean,stddev,min,max,ceiling,target,"
                 "blocked_runs,satisfied_per_seed\n")
         for value in values:
@@ -188,14 +217,35 @@ def _checked_config(args) -> SystemConfig | None:
     return None if problems else cfg
 
 
+def _numbers(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+def _sweep_values(args, base: SystemConfig) -> list | None:
+    """The sweep's values; None, after printing why, if one repeats or is
+    outside the sweep's type and range, or a point's config has errors."""
+    sweep = SWEEPS[args.name]
+    values = args.values or list(sweep.values)
+    problems = [f"{args.name}: {v} is not {sweep.type.__name__} in "
+                f"[{sweep.lo}, {sweep.hi}]" for v in values
+                if not (math.isfinite(v) and sweep.lo <= v <= sweep.hi)
+                or sweep.type is int and v != int(v)]
+    if len(set(values)) < len(values):
+        problems.append(f"{args.name}: --values repeats a value")
+    if not problems:
+        values = [sweep.type(v) for v in values]
+        seeds = range(args.seed, args.seed + args.runs)
+        for v in values:
+            configs = (sweep.axis(base, v, s)[0] for s in seeds)
+            errors = dict.fromkeys(str(e) for cfg in configs
+                                   for e in errors_of(validate_config(cfg)))
+            problems += [f"{args.name} at {v}: {e}" for e in errors]
+    for p in problems:
+        print(p, file=sys.stderr)
+    return None if problems else values
+
+
 def cmd_experiment(args) -> int:
-    if args.name not in EXPERIMENTS:
-        print(f"unknown experiment {args.name!r}", file=sys.stderr)
-        return 2
-    if args.config and args.name != "single":
-        print(f"{args.name} runs on the n=100 baseline and takes no --config; "
-              "only single runs on a config file", file=sys.stderr)
-        return 2
     cfg = _checked_config(args)
     if cfg is None:
         return 1
@@ -205,12 +255,19 @@ def cmd_experiment(args) -> int:
                           args.output, args.ticks, args.rate, trace=trace,
                           gamma=args.gamma)
     else:
-        values = [float(v) for v in args.values.split(",")] if args.values else None
-        if values and args.name in ("k-sweep", "s-sweep"):
-            values = [int(v) for v in values]
+        values = _sweep_values(args, cfg)
+        if values is None:
+            return 1
+        # the reproduce line names these options when they are set
+        defaults = {"config": None, "trace": None, "trace_recipe": "as-is",
+                    "gamma": 2.0}
+        options = "".join(f" --{key.replace('_', '-')} {shlex.quote(str(v))}"
+                          for key, default in defaults.items()
+                          if (v := getattr(args, key)) != default)
         path = run_sweep(args.name, args.adversary, args.mode, args.seed,
                          args.runs, args.output, values=values,
-                         workers=args.workers, trace=trace, gamma=args.gamma)
+                         workers=args.workers, trace=trace, gamma=args.gamma,
+                         base=cfg if args.config else None, options=options)
     print(path)
     return 0
 
@@ -289,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("experiment", help="run a sweep or a single simulation")
     ex.add_argument("--name", required=True, choices=EXPERIMENTS)
-    ex.add_argument("--config", help="single: config file (defaults to the "
-                    "n=100 baseline); sweeps always use the baseline")
+    ex.add_argument("--config", help="config file (defaults to the n=100 "
+                    "reference system); a sweep moves it along its axis")
     ex.add_argument("--adversary", default="random",
                     choices=("random", "zipf", "greedy", "trace"))
     ex.add_argument("--mode", default="static",
@@ -305,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="catalog recipe: whole trace, the m most popular, "
                          "or a random m-subset")
     ex.add_argument("--gamma", type=float, default=2.0, help="zipf exponent")
-    ex.add_argument("--values", help="comma-separated sweep values override")
+    ex.add_argument("--values", type=_numbers,
+                    help="comma-separated sweep values override")
     ex.add_argument("--workers", type=int, default=0)
     ex.add_argument("--ticks", type=int, default=200, help="single: horizon")
     ex.add_argument("--rate", type=int, default=1, help="requests per tick")

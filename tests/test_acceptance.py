@@ -16,7 +16,7 @@ from vodsim import adversary as adv
 from vodsim.allocation import (AllocationMap, allocate_purely_random,
                                allocate_regular)
 from vodsim.bounds import feasibility_report, min_replication_k, realistic_replication_k
-from vodsim.cli import config_for_k, offline_boxes, probe_point
+from vodsim.cli import config_for_k, sweep_points
 from vodsim.config import SystemConfig, homogeneous_config
 from vodsim.engine import Engine
 from vodsim.maxflow import (Infeasible, build_request_graph, check_expander,
@@ -31,16 +31,18 @@ def line(name, ok, detail):
     print(f"criterion {name}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
+def satisfied(points):
+    return [sat for _, sat, _, _ in points]
+
+
 @pytest.fixture(scope="module")
 def ksweep():
     """satisfied counts per (adversary, k, seed) for the reference system."""
     data = {}
     for kind, ks in (("random", range(3, 21)), ("zipf", range(3, 21)),
                      ("greedy", range(6, 21))):
-        for k in ks:
-            cfg = config_for_k(k)
-            data[kind, k] = [probe_point(cfg, kind, "static", s).satisfied
-                             for s in SEEDS]
+        for k, pts in sweep_points("k-sweep", kind, "static", SEEDS, ks).items():
+            data[kind, k] = satisfied(pts)
     return data
 
 
@@ -83,14 +85,9 @@ def test_criterion2_bandwidth_ceiling_asymptote(ksweep):
 
 
 def test_criterion3_stripe_sweep_shape():
-    means = []
-    per_s = {}
-    for s in range(1, 31):
-        cfg = config_for_k(10, s=s)
-        sats = [probe_point(cfg, "random", "static", sd).satisfied
-                for sd in SEEDS]
-        per_s[s] = sats
-        means.append(statistics.mean(sats))
+    per_s = {s: satisfied(pts) for s, pts in sweep_points(
+        "s-sweep", "random", "static", SEEDS, range(1, 31)).items()}
+    means = [statistics.mean(per_s[s]) for s in range(1, 31)]
     rho = spearman(means, list(range(1, 31)))
     ok_rho = rho <= 0
     bad_level = {s: per_s[s] for s in range(2, 31)
@@ -102,31 +99,20 @@ def test_criterion3_stripe_sweep_shape():
 
 
 def test_criterion4_random_tolerates_offline_to_40pct():
-    cfg = config_for_k(10)
-    bad = {}
-    for pct in range(0, 45, 5):
-        frac = pct / 100
-        hits = 0
-        for sd in SEEDS:
-            off = offline_boxes(cfg, frac, sd)
-            res = probe_point(cfg, "random", "static", sd, offline=off)
-            hits += res.satisfied >= cfg.n - len(off)
-        if hits < NEEDED:
-            bad[frac] = hits
+    fracs = [pct / 100 for pct in range(0, 45, 5)]
+    hits = {frac: sum(sat >= target for _, sat, _, target in pts)
+            for frac, pts in sweep_points("failure-sweep", "random", "static",
+                                          SEEDS, fracs).items()}
+    bad = {frac: h for frac, h in hits.items() if h < NEEDED}
     line("4 [random offline<=40%]", not bad,
          bad or "satisfied >= active count in >=9/10 seeds at every fraction")
     assert not bad, bad
 
 
 def test_criterion4_greedy_blocks_at_10pct_offline():
-    cfg = config_for_k(10)
-    blocked = 0
-    sats = []
-    for sd in SEEDS:
-        off = offline_boxes(cfg, 0.10, sd)
-        res = probe_point(cfg, "greedy", "static", sd, offline=off)
-        sats.append(res.satisfied)
-        blocked += res.satisfied < cfg.n - len(off)
+    pts = sweep_points("failure-sweep", "greedy", "static", SEEDS, [0.10])[0.10]
+    sats = satisfied(pts)
+    blocked = sum(sat < target for _, sat, _, target in pts)
     ok = blocked >= len(SEEDS) / 2
     line("4 [greedy blocks at 10%]", ok,
          f"blocked in {blocked}/{len(SEEDS)} seeds (satisfied={sats}, active=90)")

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import subset_balance_ratio, tiny_config
 from vodsim.bounds import (balance_ratio, feasibility_report,
                            min_replication_k, realistic_replication_k)
-from vodsim.cli import config_for_k, config_hetero
+from vodsim.cli import SWEEPS, config_for_k
 from vodsim.config import SystemConfig
 
 
@@ -85,7 +85,7 @@ def test_balance_ratio_matches_subset_enumeration(data, n, s):
 @pytest.mark.parametrize("cfg,expected", [
     (tiny_config(n=20, u=2, d=2, c=2, s=1, k=2, m=20), Fraction(2)),
     (config_for_k(10), Fraction(16, 15)),
-    (config_hetero(1.0, 0), Fraction(2, 15)),
+    (SWEEPS["hetero-sweep"].axis(config_for_k(10), 1.0, 0)[0], Fraction(2, 15)),
 ], ids=["homogeneous-n20", "config_for_k-10", "config_hetero-1.0-0"])
 def test_balance_ratio_reference_values(cfg, expected):
     assert balance_ratio(cfg) == expected

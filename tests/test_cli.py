@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import load_allocation, load_events
-from vodsim.cli import config_for_k, config_hetero, main, offline_boxes, run_sweep
-from vodsim.config import dump_config, validate_config, errors_of
+from vodsim.cli import SWEEPS, config_for_k, main, offline_boxes, run_sweep
+from vodsim.config import dump_config, errors_of, load_config, validate_config
 
 
 @pytest.fixture
@@ -20,7 +20,7 @@ def test_sweep_config_builders_are_valid():
         assert errors_of(validate_config(config_for_k(10, s=s))) == []
     for var in (0.0, 0.5, 1.0):
         for k in (3, 10):
-            cfg = config_hetero(var, seed=3, k=k)
+            cfg, _ = SWEEPS["hetero-sweep"].axis(config_for_k(k), var, 3)
             assert errors_of(validate_config(cfg)) == []
             assert cfg.total_upload_slots == 100 * 16
 
@@ -97,15 +97,65 @@ def test_single_experiment_writes_metrics(tmp_path):
     assert text.strip().splitlines()[-1].startswith("summary,")
 
 
-def test_sweep_refuses_a_config_it_would_ignore(tmp_path, capsys):
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text("n=8\nu=2\nd=2\nc=2\ns=2\nk=2\nm=8\n")
+def test_sweep_axes_rebuild_the_reference_points():
+    base = config_for_k(10)
+    for k in SWEEPS["k-sweep"].values:
+        assert SWEEPS["k-sweep"].axis(base, k, 0) == (config_for_k(k), [])
+    for s in SWEEPS["s-sweep"].values:
+        assert SWEEPS["s-sweep"].axis(base, s, 0) == (config_for_k(10, s=s), [])
+
+
+def test_sweeps_run_on_a_config_file(tmp_path):
+    # at the file's own k and s, sd 0 and no offline box each sweep's point
+    # is the file's system (u = mu = 1+1/s for the s-sweep), so ceiling and
+    # target are the file's: 8*3 slots // s = 12, and 8 boxes or 6 at 25 %
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("n=8\nu=3/2\nd=2\nc=2\ns=2\nk=2\nm=8\nmu=3/2\n")
+    dumped = dump_config(load_config(str(cfg))).splitlines()
     out = tmp_path / "out"
-    for name in ("k-sweep", "s-sweep", "hetero-sweep", "failure-sweep"):
-        rc = main(["experiment", "--name", name, "--config", str(cfg),
-                   "--values", "2", "--runs", "1", "--output", str(out)])
-        assert rc == 2
-        assert "n=100 baseline" in capsys.readouterr().err
+    for name, values, targets in (("k-sweep", "2", [8]), ("s-sweep", "2", [8]),
+                                  ("hetero-sweep", "0", [8]),
+                                  ("failure-sweep", "0,0.25", [8, 6])):
+        assert main(["experiment", "--name", name, "--config", str(cfg),
+                     "--values", values, "--runs", "2",
+                     "--output", str(out)]) == 0
+        lines = (out / f"{name}_random.csv").read_text().splitlines()
+        assert lines[2].endswith(f"--config {cfg}")
+        assert [l for l in lines if l.startswith("# config: ")] == [
+            f"# config: {l}" for l in dumped]
+        rows = [l.split(",") for l in lines if l[0].isdigit()]
+        assert [(r[6], r[7]) for r in rows] == [("12", str(t)) for t in targets]
+    hetero = (out / "hetero-sweep_random.csv").read_text()
+    assert "Gaussian(mean=3/2, sd=value) truncated to [1/s, 3]" in hetero
+
+
+def test_reproduce_line_names_options_off_their_defaults(tmp_path):
+    assert main(["experiment", "--name", "k-sweep", "--adversary", "zipf",
+                 "--gamma", "1.0", "--values", "3", "--runs", "1",
+                 "--output", str(tmp_path)]) == 0
+    lines = (tmp_path / "k-sweep_zipf.csv").read_text().splitlines()
+    assert lines[2] == ("# reproduce: vodsim experiment --name k-sweep "
+                        "--adversary zipf --mode static --seed 0 --runs 1 "
+                        "--gamma 1.0")
+    assert lines[-1].startswith("3,1,104.000,")
+
+
+@pytest.mark.parametrize("name,values,why", [
+    ("k-sweep", "6,6", "repeats a value"),
+    ("k-sweep", "2.5", "2.5 is not int"),
+    ("s-sweep", "0", "0.0 is not int"),
+    ("failure-sweep", "1.5", "1.5 is not float in [0, 1]"),
+    ("failure-sweep", "-0.1", "-0.1 is not float"),
+    ("hetero-sweep", "inf", "inf is not float"),
+    ("k-sweep", "4000", "k-sweep at 4000: error: m < 1"),
+])
+def test_sweep_values_are_checked_before_any_probe(name, values, why,
+                                                   tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["experiment", "--name", name, "--values", values,
+               "--runs", "1", "--output", str(out)])
+    assert rc == 1
+    assert why in capsys.readouterr().err
     assert not out.exists()
 
 

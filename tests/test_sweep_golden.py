@@ -9,7 +9,7 @@ import hashlib
 
 import pytest
 
-from vodsim.cli import config_hetero, run_sweep
+from vodsim.cli import SWEEPS, config_for_k, run_sweep
 
 VALUES = {"k-sweep": [2, 6], "s-sweep": [2, 15], "hetero-sweep": [0.5, 1.0],
           "failure-sweep": [0.2, 0.5]}
@@ -83,7 +83,7 @@ value,runs,mean,stddev,min,max,ceiling,target,blocked_runs,satisfied_per_seed
 """,
 }
 
-# sha256 of repr() of config_hetero(variance, 0)'s per-box upload slots: the
+# sha256 of repr() of the hetero-sweep's per-box upload slots at (variance, 0): the
 # hetero-sweep saturates at the ceiling, so its CSV alone does not show a
 # change to the draw or to its [1/s, 2+2/s] bounds
 UPLOAD_SLOTS_SHA256 = {
@@ -101,7 +101,7 @@ def test_sweep_csv_matches_recording(name, kind, tmp_path):
 
 @pytest.mark.parametrize("variance", sorted(UPLOAD_SLOTS_SHA256))
 def test_hetero_uploads_match_recording(variance):
-    cfg = config_hetero(variance, 0)
+    cfg, _ = SWEEPS["hetero-sweep"].axis(config_for_k(10), variance, 0)
     slots = [cfg.upload_slots(i) for i in range(cfg.n)]
     digest = hashlib.sha256(repr(slots).encode()).hexdigest()
     assert digest == UPLOAD_SLOTS_SHA256[variance]
